@@ -10,7 +10,8 @@
 //! * `qarma`/`mac` → `BENCH_qarma.json` — ns/op for the QARMA-64/128
 //!   kernels, the PTE-line MAC (scalar and batch), verification, and the
 //!   MAC oracle's pair-sweep wall time serial vs. parallel, each paired
-//!   with the committed pre-rewrite baseline.
+//!   with the committed pre-rewrite and pre-SIMD baselines, plus which
+//!   QARMA-128 kernel ran (`qarma128_kernel`: `ssse3` or `portable`).
 //! * `memsys` → `BENCH_memsys.json` — host ns per simulated memory op and
 //!   simulated IPC for the blocking driver vs. the event pipeline at
 //!   `mlp ∈ {1, 2, 4}`, on two MAC-heavy profiles; the committed report
@@ -66,6 +67,25 @@ const BASELINE_NS: [(&str, f64); 8] = [
     ("pac_auth", 1105.6),
 ];
 
+/// ns/op of the 2-wide SWAR kernel that the SSSE3 kernel replaced, measured
+/// on the same host (a 2-vCPU x86_64 Xeon VM) as the committed report, in
+/// full-scale runs alternated with it (median of five). The denominators of `speedup_vs_pre_simd`;
+/// the QARMA-64, decrypt and PAC rows did not change kernel and serve as a
+/// host-speed control.
+const PRE_SIMD_SOURCE: &str = "2-wide SWAR interleave @ commit 0ce4da4";
+const PRE_SIMD_NS: [(&str, f64); 10] = [
+    ("qarma64_r5_encrypt", 281.9),
+    ("qarma128_r9_encrypt", 454.1),
+    ("qarma128_r9_decrypt", 473.3),
+    ("qarma128_r9_encrypt_many_per_block", 614.5),
+    ("mac_compute", 2607.7),
+    ("mac_compute_batch_per_line", 2540.7),
+    ("mac_verify_exact", 2488.4),
+    ("mac_verify_soft_k4", 2552.4),
+    ("pac_sign", 349.9),
+    ("pac_auth", 356.3),
+];
+
 fn usage() -> ExitCode {
     eprintln!(
         "usage: bench qarma|mac|memsys|channels|serve|arena|all [--out FILE] [--fast] [--jobs N] [--check FILE]\n\
@@ -116,6 +136,11 @@ fn report(rows: &mut Vec<Row>, name: &'static str, m: Measurement) {
     rows.push(Row { name, m });
 }
 
+/// The QARMA-128 encryption kernel this host runs: `ssse3` or `portable`.
+fn qarma128_kernel() -> &'static str {
+    Qarma128::new([1, 2], 9, Sbox::Sigma1).kernel()
+}
+
 fn bench_qarma(rows: &mut Vec<Row>) {
     let budget = effective_budget();
     let q64 = Qarma64::new([0x84be85ce9804e94b, 0xec2802d4e0a488e4], 5, Sbox::Sigma1);
@@ -143,8 +168,9 @@ fn bench_qarma(rows: &mut Vec<Row>) {
         }),
     );
 
-    // Batch throughput: 8 blocks through the pairwise-interleaved path,
-    // reported per block so it is directly comparable to the scalar row.
+    // Batch throughput: 8 blocks (two interleaved groups of four on the
+    // SSSE3 kernel), reported per block so it is directly comparable to
+    // the scalar row.
     let pairs: Vec<(u128, u128)> = (0..8u128).map(|i| (i * 0x1234_5677 + 1, i)).collect();
     let mut out = vec![0u128; pairs.len()];
     let n = pairs.len() as f64;
@@ -243,6 +269,34 @@ fn bench_sweep(jobs: usize, fast: bool) -> Value {
     ])
 }
 
+/// Renders a committed baseline table as a report block.
+fn baseline_block(source: &str, table: &[(&str, f64)]) -> Value {
+    Value::Obj(
+        std::iter::once(("source".to_string(), Value::Str(source.to_string())))
+            .chain(
+                table
+                    .iter()
+                    .map(|(k, v)| ((*k).to_string(), Value::F64(*v))),
+            )
+            .collect(),
+    )
+}
+
+/// Fresh-over-baseline speedups for every measured row the table covers.
+fn speedup_block(rows: &[Row], table: &[(&str, f64)]) -> Value {
+    Value::Obj(
+        rows.iter()
+            .filter_map(|r| {
+                let (_, base) = table.iter().find(|(k, _)| *k == r.name)?;
+                Some((
+                    r.name.to_string(),
+                    Value::F64(base / r.m.median_ns.max(1e-9)),
+                ))
+            })
+            .collect(),
+    )
+}
+
 fn render_report(rows: &[Row], sweep: Option<Value>, fast: bool) -> Value {
     let results = Value::Obj(
         rows.iter()
@@ -258,35 +312,21 @@ fn render_report(rows: &[Row], sweep: Option<Value>, fast: bool) -> Value {
             })
             .collect(),
     );
-    let baseline = Value::Obj(
-        std::iter::once((
-            "source".to_string(),
-            Value::Str(BASELINE_SOURCE.to_string()),
-        ))
-        .chain(
-            BASELINE_NS
-                .iter()
-                .map(|(k, v)| ((*k).to_string(), Value::F64(*v))),
-        )
-        .collect(),
-    );
-    let speedup = Value::Obj(
-        rows.iter()
-            .filter_map(|r| {
-                let (_, base) = BASELINE_NS.iter().find(|(k, _)| *k == r.name)?;
-                Some((
-                    r.name.to_string(),
-                    Value::F64(base / r.m.median_ns.max(1e-9)),
-                ))
-            })
-            .collect(),
-    );
     let mut pairs = vec![
         ("schema", Value::Str("ptguard-bench-qarma/v1".to_string())),
         ("fast", Value::Bool(fast)),
+        ("qarma128_kernel", Value::Str(qarma128_kernel().to_string())),
         ("results", results),
-        ("baseline_pre_rewrite", baseline),
-        ("speedup_vs_baseline", speedup),
+        (
+            "baseline_pre_rewrite",
+            baseline_block(BASELINE_SOURCE, &BASELINE_NS),
+        ),
+        ("speedup_vs_baseline", speedup_block(rows, &BASELINE_NS)),
+        (
+            "baseline_pre_simd",
+            baseline_block(PRE_SIMD_SOURCE, &PRE_SIMD_NS),
+        ),
+        ("speedup_vs_pre_simd", speedup_block(rows, &PRE_SIMD_NS)),
     ];
     if let Some(s) = sweep {
         pairs.push(("pair_sweep", s));
@@ -385,7 +425,7 @@ fn bench_serve(fast: bool) -> Value {
 }
 
 /// The serve arm of the `--check` gate: the committed report must show the
-/// drain scaling linearly in batch size (the SWAR kernel already
+/// drain scaling linearly in batch size (the cipher kernel already
 /// interleaves chunks within a line, so cross-line batching must not go
 /// *superlinear* — the coalescing win is amortised queueing overhead, which
 /// lives in the server loop, not here), and a fresh quick measurement of
@@ -549,6 +589,7 @@ struct MemsysPoint {
     sim_ipc: f64,
     sim_cycles: u64,
     mac_computations: u64,
+    /// DRAM reads of one run (the last rep), like `sim_cycles`.
     dram_reads: u64,
 }
 
@@ -595,24 +636,29 @@ fn memsys_profile(
         .collect();
     let mut best = vec![f64::INFINITY; modes.len()];
     let mut last: Vec<Option<_>> = vec![None; modes.len()];
+    // DRAM reads of each machine's last rep: the controller's counter is
+    // cumulative over the warm-up and every rep, so take its delta.
+    let mut reads = vec![0u64; modes.len()];
     for rep in 0..reps {
         // Rotate the starting mode each sweep so no mode systematically
         // inherits a particular position's thermal/steal-time bias.
         for k in 0..modes.len() {
             let i = (rep + k) % modes.len();
+            let reads_before = machines[i].sys.controller.stats().reads;
             let t = Instant::now();
             let r = go(&mut machines[i], modes[i].2);
             let ns = t.elapsed().as_nanos() as f64;
             best[i] = best[i].min(ns / r.mem_ops.max(1) as f64);
+            reads[i] = machines[i].sys.controller.stats().reads - reads_before;
             last[i] = Some(r);
         }
     }
     modes
         .iter()
-        .zip(&machines)
+        .zip(reads)
         .zip(best)
         .zip(last)
-        .map(|(((&(mode, _, _), machine), ns_per_sim_op), r)| {
+        .map(|(((&(mode, _, _), dram_reads), ns_per_sim_op), r)| {
             let r = r.expect("at least one rep");
             MemsysPoint {
                 mode,
@@ -620,7 +666,7 @@ fn memsys_profile(
                 sim_ipc: r.ipc(),
                 sim_cycles: r.cycles,
                 mac_computations: r.mac_computations,
-                dram_reads: machine.sys.controller.stats().reads,
+                dram_reads,
             }
         })
         .collect()
@@ -770,6 +816,7 @@ struct ChannelsPoint {
     channels: usize,
     ns_per_sim_op: f64,
     sim_cycles: u64,
+    /// DRAM reads of one run (the last rep), summed over channels.
     dram_reads: u64,
     /// min/max per-channel DRAM reads (1.0 = perfectly even interleave).
     balance: f64,
@@ -800,15 +847,25 @@ fn channels_profile(name: &str, instrs: u64, reps: usize) -> Vec<ChannelsPoint> 
             machine
         })
         .collect();
+    let total_reads = |machine: &simx::runner::Machine| -> u64 {
+        (0..machine.sys.channels())
+            .map(|c| machine.sys.channel(c).stats().reads)
+            .sum()
+    };
     let mut best = vec![f64::INFINITY; CHANNELS_SWEEP.len()];
     let mut last = vec![None; CHANNELS_SWEEP.len()];
+    // DRAM reads of each machine's last rep (the channel counters are
+    // cumulative over the warm-up and every rep).
+    let mut last_reads = vec![0u64; CHANNELS_SWEEP.len()];
     for rep in 0..reps {
         for k in 0..CHANNELS_SWEEP.len() {
             let i = (rep + k) % CHANNELS_SWEEP.len();
+            let reads_before = total_reads(&machines[i]);
             let t = Instant::now();
             let r = simx::runner::run(&mut machines[i], instrs);
             let ns = t.elapsed().as_nanos() as f64;
             best[i] = best[i].min(ns / r.mem_ops.max(1) as f64);
+            last_reads[i] = total_reads(&machines[i]) - reads_before;
             last[i] = Some(r);
         }
     }
@@ -816,9 +873,11 @@ fn channels_profile(name: &str, instrs: u64, reps: usize) -> Vec<ChannelsPoint> 
         .iter()
         .zip(&machines)
         .zip(best)
-        .zip(last)
-        .map(|(((&channels, machine), ns_per_sim_op), r)| {
+        .zip(last.into_iter().zip(last_reads))
+        .map(|(((&channels, machine), ns_per_sim_op), (r, dram_reads))| {
             let r = r.expect("at least one rep");
+            // Balance is a ratio, so it reads the cumulative per-channel
+            // counters: more samples, same expectation.
             let reads: Vec<u64> = (0..machine.sys.channels())
                 .map(|c| machine.sys.channel(c).stats().reads)
                 .collect();
@@ -828,7 +887,7 @@ fn channels_profile(name: &str, instrs: u64, reps: usize) -> Vec<ChannelsPoint> 
                 channels,
                 ns_per_sim_op,
                 sim_cycles: r.cycles,
-                dram_reads: reads.iter().sum(),
+                dram_reads,
                 balance: min as f64 / max.max(1) as f64,
             }
         })
@@ -1020,6 +1079,9 @@ fn run(mut args: Vec<String>) -> Result<(), String> {
         _ => "BENCH_qarma.json",
     };
     let out = out_flag.unwrap_or_else(|| PathBuf::from(default_out));
+    if matches!(what.as_str(), "qarma" | "mac" | "all") {
+        println!("qarma128_kernel {}", qarma128_kernel());
+    }
     let mut rows = Vec::new();
     let report = match what.as_str() {
         "qarma" => {

@@ -168,7 +168,7 @@ pub struct MemoryController {
     /// Reusable drain buffers (see [`DrainScratch`]).
     scratch: DrainScratch,
     /// Benchmark control: when set, drained reads are verified with one
-    /// scalar cipher call per chunk instead of the batched SWAR kernel.
+    /// scalar cipher call per chunk instead of the batched cipher path.
     /// MAC values — and therefore every simulated outcome — are identical;
     /// only host time differs. See [`Self::set_unbatched_mac`].
     unbatched_mac: bool,
@@ -564,7 +564,7 @@ impl MemoryController {
         &mut self.device
     }
 
-    /// Switches drain-time MAC verification between the batched SWAR kernel
+    /// Switches drain-time MAC verification between the batched cipher path
     /// (default) and the scalar per-chunk reference path
     /// ([`ptguard::mac::PteMac::compute_unbatched`]).
     ///

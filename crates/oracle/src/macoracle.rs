@@ -9,6 +9,11 @@
 //! ([`RefMac::compute_paper_formula`]) so the sweep can demonstrate the
 //! chunk-swap aliasing that formula admits — the deviation documented in
 //! `ptguard::mac` and DESIGN.md.
+//!
+//! The oracle is independent of the MAC *construction*, not of the cipher:
+//! it encrypts through `Qarma128::encrypt`, which runs the same kernel
+//! (SSSE3 where the host has it) as `PteMac`. The cipher kernels are
+//! checked against each other in the `qarma` crate's own tests.
 
 use std::sync::Arc;
 

@@ -157,13 +157,13 @@ impl PteMac {
     /// cross-chunk interleaving.
     ///
     /// This is the straight-line reference implementation of the Section
-    /// IV-F construction: it is what a controller without the batched SWAR
-    /// verify kernel would run, one QARMA invocation per 16-byte chunk. It
-    /// returns bit-identical MACs to [`Self::compute`] (the tests pin this),
-    /// so it serves two roles: an independent oracle for the batched
-    /// kernels, and the unbatched-verification control in `bench memsys`
-    /// (the `mlp4-scalar` mode), which isolates how much host time the
-    /// batched drain actually saves.
+    /// IV-F construction: one QARMA invocation per 16-byte chunk, where
+    /// [`Self::compute`] hands all four chunks to the cipher at once (on
+    /// the SSSE3 kernel, one interleaved group of four blocks). It returns
+    /// bit-identical MACs to [`Self::compute`] (the tests pin this), so it
+    /// serves two roles: a cross-check of the batched path, and the
+    /// unbatched-verification control in `bench memsys` (the `mlp4-scalar`
+    /// mode), which isolates how much host time the batched drain saves.
     #[must_use]
     pub fn compute_unbatched(&self, line: &Line, addr: PhysAddr) -> u128 {
         let masked = line.masked(self.protected_mask);
@@ -188,10 +188,11 @@ impl PteMac {
     /// Appends the MACs of `items` to `out` (without clearing it).
     ///
     /// All `4 × items.len()` chunk encryptions are flattened into a single
-    /// [`Qarma128::encrypt_many`] call, amortising the kernel's entry cost
-    /// across the batch. Batches of up to 8 lines (32 chunk encryptions —
-    /// well above any realistic MLP window's drain) run entirely on stack
-    /// buffers, so the controller's drain step allocates nothing here.
+    /// [`Qarma128::encrypt_many`] call, which on the SSSE3 kernel runs each
+    /// line's four chunks as one interleaved group. Batches of up to 8
+    /// lines (32 chunk encryptions — well above any realistic MLP window's
+    /// drain) run entirely on stack buffers, so the controller's drain step
+    /// allocates nothing here.
     pub fn compute_batch_into(&self, items: &[(Line, PhysAddr)], out: &mut Vec<u128>) {
         const STACK_LINES: usize = 8;
         if items.len() <= STACK_LINES {

@@ -1,4 +1,4 @@
-//! Shared Even-Mansour reflection core used by both QARMA variants.
+//! The portable Even-Mansour reflection core shared by both QARMA variants.
 //!
 //! The core operates on a *packed* state: one `u128` word holding all 16
 //! cells, one byte lane per cell, cell 0 in the most-significant lane (for
@@ -7,14 +7,18 @@
 //! block sizes share one implementation of the round structure; the variant
 //! modules own packing and key specialisation.
 //!
-//! The core is an *allocation-free flat-word kernel*:
+//! This kernel runs QARMA-64, all decryption, and QARMA-128 encryption on
+//! hosts without the SSSE3 kernel (`crate::ssse3`, x86_64 only). It is also
+//! the reference the SSSE3 kernel is tested against bit for bit. It is an
+//! *allocation-free flat-word kernel*, one block per call:
 //!
 //! * Everything derivable from the key and the cipher parameters — the
 //!   byte-level S-box tables (forward and inverse), the lane masks backing
 //!   the MixColumns circulant and the tweak ω-LFSR, the inverse cell
 //!   permutation τ⁻¹, the expanded whitening/reflector keys, and the
 //!   per-round key words `k0 ⊕ cᵢ` / `k0 ⊕ α ⊕ cᵢ` — is precomputed once at
-//!   construction into fixed-size flat arrays sized by [`MAX_ROUNDS`].
+//!   construction into fixed-size flat arrays sized by [`MAX_ROUNDS`]. The
+//!   SSSE3 kernel loads its round material from here.
 //! * `encrypt`/`decrypt` run entirely on the stack: the tweak schedule lives
 //!   in a `[u128; MAX_ROUNDS + 1]` array and the round loop performs word
 //!   XORs, SWAR rotations, and byte-table lookups only — zero heap
@@ -37,7 +41,7 @@ const LANE_LSB: u128 = rep(0x01);
 
 /// Inverse of τ as a compile-time constant so the shuffle loops unroll with
 /// constant lane indices.
-const TAU_INV: [usize; NUM_CELLS] = {
+pub(crate) const TAU_INV: [usize; NUM_CELLS] = {
     let mut inv = [0usize; NUM_CELLS];
     let mut i = 0;
     while i < NUM_CELLS {
@@ -141,7 +145,7 @@ pub(crate) struct Core {
     /// Inverse S-box over full lane values.
     sub_inv_tbl: [u8; 256],
     /// Lanes holding ω-LFSR tweak cells.
-    lfsr_mask: u128,
+    pub lfsr_mask: u128,
     /// Complement of `lfsr_mask`: lanes the tweak update leaves alone.
     lfsr_keep: u128,
     /// Per-lane mask of the LFSR shift-down result (`width − 1` low bits).
@@ -149,15 +153,15 @@ pub(crate) struct Core {
     /// Feedback-bit destination: the cell's top bit position.
     lfsr_top: u32,
     /// Whitening key `w0`, packed.
-    w0: u128,
+    pub w0: u128,
     /// Whitening key `w1 = o(w0)`, packed.
-    w1: u128,
+    pub w1: u128,
     /// Reflector key `k1 = M·k0`, packed.
-    k1: u128,
+    pub k1: u128,
     /// Forward round keys `k0 ⊕ cᵢ`, packed.
-    fwd_rk: [u128; MAX_ROUNDS],
+    pub fwd_rk: [u128; MAX_ROUNDS],
     /// Backward round keys `k0 ⊕ α ⊕ cᵢ`, packed.
-    bwd_rk: [u128; MAX_ROUNDS],
+    pub bwd_rk: [u128; MAX_ROUNDS],
 }
 
 impl Core {
@@ -262,147 +266,90 @@ impl Core {
         (p & self.lfsr_keep) | (stepped & self.lfsr_mask)
     }
 
-    /// Builds the per-block forward tweak schedules for `N` blocks at once.
-    #[allow(clippy::needless_range_loop)]
-    #[inline(always)]
-    fn tweak_schedules<const N: usize>(&self, t: [u128; N]) -> [[u128; MAX_ROUNDS + 1]; N] {
-        let mut ts = [[0u128; MAX_ROUNDS + 1]; N];
-        for k in 0..N {
-            ts[k][0] = t[k].swap_bytes();
-            for i in 0..self.rounds {
-                ts[k][i + 1] = self.tweak_update(ts[k][i]);
-            }
+    /// Builds the forward tweak schedule `t_0..t_r` of one block.
+    fn tweak_schedule(&self, t: u128) -> [u128; MAX_ROUNDS + 1] {
+        let mut ts = [0u128; MAX_ROUNDS + 1];
+        ts[0] = t.swap_bytes();
+        for i in 0..self.rounds {
+            ts[i + 1] = self.tweak_update(ts[i]);
         }
         ts
     }
 
-    /// Encrypts `N` independent packed blocks through one pass of the round
-    /// structure. The per-block statements are interleaved (the inner `k`
-    /// loops unroll), so for `N = 2` the two dependency chains overlap and
-    /// hide each other's latency — the round kernel is latency-bound, not
-    /// throughput-bound, and a single out-of-order window cannot span a whole
-    /// block's worth of rounds on its own.
-    ///
-    /// Written with explicit `s[k]` indexing rather than iterators: the
-    /// lockstep per-block statements are the interleave.
+    /// Encrypts one packed block under packed tweak `t`.
     #[allow(clippy::needless_range_loop)]
-    #[inline(always)]
-    fn encrypt_n<const N: usize>(&self, p: [u128; N], t: [u128; N]) -> [u128; N] {
-        let ts = self.tweak_schedules(t);
-
-        let mut s = [0u128; N];
-        for k in 0..N {
-            s[k] = p[k].swap_bytes() ^ self.w0;
-        }
+    pub(crate) fn encrypt(&self, p: u128, t: u128) -> u128 {
+        let ts = self.tweak_schedule(t);
+        let mut s = p.swap_bytes() ^ self.w0;
 
         // Forward rounds.
         for i in 0..self.rounds {
-            for k in 0..N {
-                s[k] ^= self.fwd_rk[i] ^ ts[k][i];
-                if i != 0 {
-                    s[k] = self.mix(permute_lanes(&TAU, s[k]));
-                }
-                s[k] = map_lanes(&self.sub_tbl, s[k]);
+            s ^= self.fwd_rk[i] ^ ts[i];
+            if i != 0 {
+                s = self.mix(permute_lanes(&TAU, s));
             }
+            s = map_lanes(&self.sub_tbl, s);
         }
 
-        for k in 0..N {
-            // Central forward whitening round, keyed w1 ⊕ t_r.
-            s[k] ^= self.w1 ^ ts[k][self.rounds];
-            s[k] = map_lanes(&self.sub_tbl, self.mix(permute_lanes(&TAU, s[k])));
+        // Central forward whitening round, keyed w1 ⊕ t_r.
+        s ^= self.w1 ^ ts[self.rounds];
+        s = map_lanes(&self.sub_tbl, self.mix(permute_lanes(&TAU, s)));
 
-            // Pseudo-reflector: τ, ·Q, ⊕k1, τ⁻¹.
-            s[k] = permute_lanes(&TAU_INV, self.mix(permute_lanes(&TAU, s[k])) ^ self.k1);
+        // Pseudo-reflector: τ, ·Q, ⊕k1, τ⁻¹.
+        s = permute_lanes(&TAU_INV, self.mix(permute_lanes(&TAU, s)) ^ self.k1);
 
-            // Central backward whitening round, keyed w0 ⊕ t_r.
-            s[k] = permute_lanes(&TAU_INV, self.mix(map_lanes(&self.sub_inv_tbl, s[k])));
-            s[k] ^= self.w0 ^ ts[k][self.rounds];
-        }
+        // Central backward whitening round, keyed w0 ⊕ t_r.
+        s = permute_lanes(&TAU_INV, self.mix(map_lanes(&self.sub_inv_tbl, s)));
+        s ^= self.w0 ^ ts[self.rounds];
 
         // Backward rounds (reflected tweakey schedule, shifted by α).
         for i in (0..self.rounds).rev() {
-            for k in 0..N {
-                s[k] = map_lanes(&self.sub_inv_tbl, s[k]);
-                if i != 0 {
-                    s[k] = permute_lanes(&TAU_INV, self.mix(s[k]));
-                }
-                s[k] ^= self.bwd_rk[i] ^ ts[k][i];
+            s = map_lanes(&self.sub_inv_tbl, s);
+            if i != 0 {
+                s = permute_lanes(&TAU_INV, self.mix(s));
             }
+            s ^= self.bwd_rk[i] ^ ts[i];
         }
 
-        for k in 0..N {
-            s[k] = (s[k] ^ self.w1).swap_bytes();
-        }
-        s
-    }
-
-    /// Encrypts one packed block under packed tweak `t`.
-    pub(crate) fn encrypt(&self, p: u128, t: u128) -> u128 {
-        self.encrypt_n([p], [t])[0]
-    }
-
-    /// Encrypts two independent blocks with their round chains interleaved.
-    /// The batch entry point for `encrypt_many` and the MAC fold.
-    pub(crate) fn encrypt2(&self, p: [u128; 2], t: [u128; 2]) -> [u128; 2] {
-        self.encrypt_n(p, t)
-    }
-
-    /// Decrypts `N` independent blocks: the structural inverse of
-    /// [`Core::encrypt_n`], with the same interleaving rationale.
-    #[allow(clippy::needless_range_loop)]
-    #[inline(always)]
-    fn decrypt_n<const N: usize>(&self, c: [u128; N], t: [u128; N]) -> [u128; N] {
-        let ts = self.tweak_schedules(t);
-
-        let mut s = [0u128; N];
-        for k in 0..N {
-            s[k] = c[k].swap_bytes() ^ self.w1;
-        }
-
-        // Invert the backward rounds (apply forward, ascending).
-        for i in 0..self.rounds {
-            for k in 0..N {
-                s[k] ^= self.bwd_rk[i] ^ ts[k][i];
-                if i != 0 {
-                    s[k] = self.mix(permute_lanes(&TAU, s[k]));
-                }
-                s[k] = map_lanes(&self.sub_tbl, s[k]);
-            }
-        }
-
-        for k in 0..N {
-            // Invert the central backward whitening round.
-            s[k] ^= self.w0 ^ ts[k][self.rounds];
-            s[k] = map_lanes(&self.sub_tbl, self.mix(permute_lanes(&TAU, s[k])));
-
-            // Invert the pseudo-reflector.
-            s[k] = permute_lanes(&TAU_INV, self.mix(permute_lanes(&TAU, s[k]) ^ self.k1));
-
-            // Invert the central forward whitening round.
-            s[k] = permute_lanes(&TAU_INV, self.mix(map_lanes(&self.sub_inv_tbl, s[k])));
-            s[k] ^= self.w1 ^ ts[k][self.rounds];
-        }
-
-        // Invert the forward rounds (descending).
-        for i in (0..self.rounds).rev() {
-            for k in 0..N {
-                s[k] = map_lanes(&self.sub_inv_tbl, s[k]);
-                if i != 0 {
-                    s[k] = permute_lanes(&TAU_INV, self.mix(s[k]));
-                }
-                s[k] ^= self.fwd_rk[i] ^ ts[k][i];
-            }
-        }
-
-        for k in 0..N {
-            s[k] = (s[k] ^ self.w0).swap_bytes();
-        }
-        s
+        (s ^ self.w1).swap_bytes()
     }
 
     /// Decrypts one block: the exact structural inverse of [`Core::encrypt`].
+    #[allow(clippy::needless_range_loop)]
     pub(crate) fn decrypt(&self, c: u128, t: u128) -> u128 {
-        self.decrypt_n([c], [t])[0]
+        let ts = self.tweak_schedule(t);
+        let mut s = c.swap_bytes() ^ self.w1;
+
+        // Invert the backward rounds (apply forward, ascending).
+        for i in 0..self.rounds {
+            s ^= self.bwd_rk[i] ^ ts[i];
+            if i != 0 {
+                s = self.mix(permute_lanes(&TAU, s));
+            }
+            s = map_lanes(&self.sub_tbl, s);
+        }
+
+        // Invert the central backward whitening round.
+        s ^= self.w0 ^ ts[self.rounds];
+        s = map_lanes(&self.sub_tbl, self.mix(permute_lanes(&TAU, s)));
+
+        // Invert the pseudo-reflector.
+        s = permute_lanes(&TAU_INV, self.mix(permute_lanes(&TAU, s) ^ self.k1));
+
+        // Invert the central forward whitening round.
+        s = permute_lanes(&TAU_INV, self.mix(map_lanes(&self.sub_inv_tbl, s)));
+        s ^= self.w1 ^ ts[self.rounds];
+
+        // Invert the forward rounds (descending).
+        for i in (0..self.rounds).rev() {
+            s = map_lanes(&self.sub_inv_tbl, s);
+            if i != 0 {
+                s = permute_lanes(&TAU_INV, self.mix(s));
+            }
+            s ^= self.fwd_rk[i] ^ ts[i];
+        }
+
+        (s ^ self.w0).swap_bytes()
     }
 }
 

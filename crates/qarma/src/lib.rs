@@ -49,6 +49,8 @@ pub mod pac;
 pub mod q128;
 pub mod q64;
 pub mod sbox;
+#[cfg(target_arch = "x86_64")]
+pub(crate) mod ssse3;
 
 pub use q128::Qarma128;
 pub use q64::Qarma64;

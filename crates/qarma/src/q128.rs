@@ -5,9 +5,13 @@
 //! each enciphered under their 16-byte-granular address as tweak and the
 //! results folded.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use crate::consts::{ALPHA128, C128, MAX_ROUNDS_128};
 use crate::engine::{ortho128, Core};
 use crate::sbox::Sbox;
+#[cfg(target_arch = "x86_64")]
+use crate::ssse3;
 
 /// The QARMA-128 tweakable block cipher.
 ///
@@ -25,7 +29,25 @@ use crate::sbox::Sbox;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Qarma128 {
+    /// The portable kernel: decryption everywhere, and encryption on hosts
+    /// without the SIMD kernel.
     core: Core,
+    /// The SSSE3 encryption kernel, present when the host supports it.
+    /// Detected once, in [`Qarma128::new`].
+    #[cfg(target_arch = "x86_64")]
+    ssse3: Option<ssse3::Kernel>,
+}
+
+/// Host probes for the SIMD kernel so far (see [`kernel_detections`]).
+pub(crate) static DETECTIONS: AtomicU64 = AtomicU64::new(0);
+
+/// How many times this process has probed the host CPU for the SIMD
+/// kernel. On x86_64 each [`Qarma128::new`] probes exactly once and
+/// encryption never does (elsewhere nothing probes); the count lets tests
+/// pin that.
+#[must_use]
+pub fn kernel_detections() -> u64 {
+    DETECTIONS.load(Ordering::Relaxed)
 }
 
 impl Qarma128 {
@@ -56,13 +78,19 @@ impl Qarma128 {
             ortho128(key[0]),
             key[1],
         );
-        Self { core }
+        Self {
+            #[cfg(target_arch = "x86_64")]
+            ssse3: ssse3::Kernel::detect(&core),
+            core,
+        }
     }
 
     /// Encrypts `plaintext` under `tweak`. Allocation-free.
     #[must_use]
     pub fn encrypt(&self, plaintext: u128, tweak: u128) -> u128 {
-        self.core.encrypt(plaintext, tweak)
+        let mut out = [0u128];
+        self.encrypt_many(&[(plaintext, tweak)], &mut out);
+        out[0]
     }
 
     /// Decrypts `ciphertext` under `tweak`. Allocation-free.
@@ -74,29 +102,31 @@ impl Qarma128 {
     /// Encrypts a batch of `(plaintext, tweak)` pairs into `out`, one output
     /// word per pair. Allocation-free: `PteMac::compute`, the controller's
     /// verify paths, and the oracle sweeps all batch their chunk encryptions
-    /// through here so the whole fold stays in the flat kernel.
+    /// through here. On the SSSE3 kernel each group of four pairs (one PTE
+    /// line) runs interleaved in one pass.
     ///
     /// # Panics
     ///
     /// Panics if `pairs.len() != out.len()`.
     pub fn encrypt_many(&self, pairs: &[(u128, u128)], out: &mut [u128]) {
         assert_eq!(pairs.len(), out.len(), "encrypt_many: length mismatch");
-        // Two blocks at a time: the interleaved kernel overlaps the two
-        // dependency chains, which is where most of the batch speedup lives.
-        let mut chunks = out.chunks_exact_mut(2);
-        let mut in_chunks = pairs.chunks_exact(2);
-        for (slots, ps) in chunks.by_ref().zip(in_chunks.by_ref()) {
-            let [q0, q1] = self.core.encrypt2([ps[0].0, ps[1].0], [ps[0].1, ps[1].1]);
-            slots[0] = q0;
-            slots[1] = q1;
+        #[cfg(target_arch = "x86_64")]
+        if let Some(kernel) = &self.ssse3 {
+            return kernel.encrypt_many(&self.core, pairs, out);
         }
-        for (slot, &(p, t)) in chunks
-            .into_remainder()
-            .iter_mut()
-            .zip(in_chunks.remainder())
-        {
-            *slot = self.encrypt(p, t);
+        for (slot, &(p, t)) in out.iter_mut().zip(pairs) {
+            *slot = self.core.encrypt(p, t);
         }
+    }
+
+    /// The encryption kernel this instance runs: `"ssse3"` or `"portable"`.
+    #[must_use]
+    pub fn kernel(&self) -> &'static str {
+        #[cfg(target_arch = "x86_64")]
+        if self.ssse3.is_some() {
+            return "ssse3";
+        }
+        "portable"
     }
 
     /// Number of forward/backward rounds `r`.
@@ -177,7 +207,6 @@ mod tests {
 
     #[test]
     fn encrypt_many_matches_scalar_for_all_sboxes_and_rounds() {
-        use crate::consts::MAX_ROUNDS_128;
         for sbox in [Sbox::Sigma0, Sbox::Sigma1, Sbox::Sigma2] {
             for rounds in 1..=MAX_ROUNDS_128 {
                 let c = Qarma128::new([W0, K0], rounds, sbox);
@@ -191,6 +220,58 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn ssse3_kernel_matches_portable_kernel() {
+        if !std::is_x86_feature_detected!("ssse3") {
+            eprintln!("host lacks SSSE3: only the portable kernel runs here");
+            return;
+        }
+        // SplitMix64: a seeded stream of keys, plaintexts and tweaks.
+        let mut state = 0x5eed_0f55_e3e3_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut word = || u128::from(next()) << 64 | u128::from(next());
+        for sbox in [Sbox::Sigma0, Sbox::Sigma1, Sbox::Sigma2] {
+            for rounds in 1..=MAX_ROUNDS_128 {
+                let c = Qarma128::new([word(), word()], rounds, sbox);
+                let simd = ssse3::Kernel::detect(&c.core).expect("SSSE3 detected above");
+                for len in 0..=9 {
+                    let pairs: Vec<(u128, u128)> = (0..len).map(|_| (word(), word())).collect();
+                    let mut got = vec![0u128; len];
+                    simd.encrypt_many(&c.core, &pairs, &mut got);
+                    for (&(p, t), &q) in pairs.iter().zip(&got) {
+                        assert_eq!(
+                            q,
+                            c.core.encrypt(p, t),
+                            "r={rounds} sbox={sbox:?} len={len}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dispatch_reports_the_detected_kernel() {
+        let c = Qarma128::new([W0, K0], 9, Sbox::Sigma1);
+        #[cfg(target_arch = "x86_64")]
+        let expect = if std::is_x86_feature_detected!("ssse3") {
+            "ssse3"
+        } else {
+            "portable"
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let expect = "portable";
+        assert_eq!(c.kernel(), expect);
+        assert_eq!(c.clone().kernel(), expect);
     }
 
     #[test]

@@ -70,31 +70,14 @@ impl Qarma64 {
     }
 
     /// Encrypts a batch of `(plaintext, tweak)` pairs into `out`, one output
-    /// word per pair. Allocation-free: batch callers (MAC folds, oracle
-    /// sweeps) go through here so the whole batch stays in the flat kernel.
+    /// word per pair, one block at a time. Allocation-free.
     ///
     /// # Panics
     ///
     /// Panics if `pairs.len() != out.len()`.
     pub fn encrypt_many(&self, pairs: &[(u64, u64)], out: &mut [u64]) {
         assert_eq!(pairs.len(), out.len(), "encrypt_many: length mismatch");
-        // Two blocks at a time so the interleaved kernel can overlap the two
-        // dependency chains (see `Core::encrypt_n`).
-        let mut chunks = out.chunks_exact_mut(2);
-        let mut in_chunks = pairs.chunks_exact(2);
-        for (slots, ps) in chunks.by_ref().zip(in_chunks.by_ref()) {
-            let [q0, q1] = self.core.encrypt2(
-                [spread64(ps[0].0), spread64(ps[1].0)],
-                [spread64(ps[0].1), spread64(ps[1].1)],
-            );
-            slots[0] = unspread64(q0);
-            slots[1] = unspread64(q1);
-        }
-        for (slot, &(p, t)) in chunks
-            .into_remainder()
-            .iter_mut()
-            .zip(in_chunks.remainder())
-        {
+        for (slot, &(p, t)) in out.iter_mut().zip(pairs) {
             *slot = self.encrypt(p, t);
         }
     }
