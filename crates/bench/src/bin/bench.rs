@@ -747,7 +747,7 @@ fn bench_memsys(fast: bool) -> Value {
 /// the batched pipeline beating the serial one on at least one profile,
 /// the event-driven mlp4 pipeline at or under the blocking driver's host
 /// cost on at least one profile (the point of replacing per-step polling
-/// with the event wheel), and a fresh quick measurement must not have
+/// with the event pump), and a fresh quick measurement must not have
 /// regressed more than 2×.
 fn check_memsys(committed: &Value) -> Result<(), String> {
     let ns_of = |profile: &str, mode: &str| {

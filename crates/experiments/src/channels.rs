@@ -151,7 +151,7 @@ fn sweep_rows(scale: Scale, sweep_seed: u64, jobs: usize, workloads: &[usize]) -
             cycles[ci] = r.cycles;
             let pump = machine.sys.pump_stats();
             events_fired[ci] = pump.events_fired;
-            idle_skip_mean_ps[ci] = pump.idle_skip_ps.mean();
+            idle_skip_mean_ps[ci] = pump.idle_skip_mean_ps();
             mac_cycles[ci] = (0..machine.sys.channels())
                 .map(|c| machine.sys.channel(c).stats().mac_cycles_added)
                 .sum();

@@ -50,15 +50,13 @@ pub struct MlpRow {
     /// MAC verification batch-size histogram
     /// (buckets: 1, 2, 3–4, 5–8, 9–16, >16).
     pub mac_batches: [u64; MAC_BATCH_BUCKETS],
-    /// Events accepted by the wheel over both regions (one drain arm per
-    /// channel with outstanding reads; completions ride the drain).
+    /// Drain arms over both regions (one per channel with outstanding
+    /// reads; completions ride the drain).
     pub events_posted: u64,
-    /// Events fired by the pump.
+    /// Drain arms fired by the pump.
     pub events_fired: u64,
-    /// Wheel slot cascades (coarse slots re-filed toward level 0).
-    pub wheel_cascades: u64,
     /// Mean virtual time skipped per pump advance, in picoseconds — the
-    /// idle gap the event wheel jumps instead of polling through.
+    /// idle gap the event pump jumps instead of polling through.
     pub idle_skip_mean_ps: f64,
 }
 
@@ -113,8 +111,7 @@ pub fn run_seeded(scale: Scale, sweep_seed: u64) -> Vec<MlpRow> {
                 mac_batches: cstats.mac_batch_hist,
                 events_posted: pump.events_posted,
                 events_fired: pump.events_fired,
-                wheel_cascades: pump.wheel_cascades,
-                idle_skip_mean_ps: pump.idle_skip_ps.mean(),
+                idle_skip_mean_ps: pump.idle_skip_mean_ps(),
             });
         }
     }
@@ -134,7 +131,6 @@ pub fn render(rows: &[MlpRow]) -> String {
         "MSHR",
         "row-hit",
         "events p/f",
-        "casc",
         "idle-skip",
         "MAC batches (1 / 2 / 3-4 / 5-8 / 9-16 / >16)",
     ]);
@@ -149,13 +145,12 @@ pub fn render(rows: &[MlpRow]) -> String {
             r.mshr_hwm.to_string(),
             format!("{:.1}%", 100.0 * r.row_hit_rate),
             format!("{}/{}", r.events_posted, r.events_fired),
-            r.wheel_cascades.to_string(),
             format!("{:.1} ns", r.idle_skip_mean_ps / 1000.0),
             r.mac_batches.map(|c| c.to_string()).join(" / "),
         ]);
     }
     format!(
-        "Event pipeline: PT-Guard under memory-level parallelism\n{}\nmlp=1 is pinned byte-identical to the blocking model; larger windows\noverlap misses across banks and batch MAC verification per drain.\nevents p/f = wheel posts/fires; casc = slot cascades; idle-skip = mean\nvirtual time jumped per pump advance instead of being polled through.\n",
+        "Event pipeline: PT-Guard under memory-level parallelism\n{}\nmlp=1 is pinned byte-identical to the blocking model; larger windows\noverlap misses across banks and batch MAC verification per drain.\nevents p/f = drain arms posted/fired; idle-skip = mean virtual time\njumped per pump advance instead of being polled through.\n",
         t.render()
     )
 }
@@ -186,10 +181,10 @@ mod tests {
                 assert!(r.mshr_hwm >= 1);
             }
             // Event-engine counters: every row goes through the pump (the
-            // event path drives mlp=1 too), and a wheel never fires more
-            // than it accepted.
+            // event path drives mlp=1 too), and every arm fires before the
+            // run's last op retires.
             assert!(r.events_fired > 0, "{}@{}: pump never fired", r.name, r.mlp);
-            assert!(r.events_posted >= r.events_fired);
+            assert_eq!(r.events_posted, r.events_fired, "{}@{}", r.name, r.mlp);
             assert!(r.idle_skip_mean_ps >= 0.0);
         }
         // At least one MAC-heavy profile must actually batch at mlp=4.

@@ -17,9 +17,10 @@
 //!   loads/stores with TLB lookup, hardware page walks, cache traversal,
 //!   and per-access latency in CPU cycles. Two access paths share every
 //!   helper: the blocking path (`load`/`store`) services each access to
-//!   completion, and the pipelined path (`pipe_issue`/`pipe_step`) keeps a
-//!   window of ops in flight over MSHR-tracked misses and the controller's
-//!   banked queues (the `mlp` knob in [`config::MemSysConfig`]).
+//!   completion, and the pipelined path (`pipe_issue_event`, pumped by
+//!   `advance_to_next_event`) keeps a window of ops in flight over
+//!   MSHR-tracked misses and the controller's banked queues (the `mlp` knob
+//!   in [`config::MemSysConfig`]).
 
 #![warn(missing_docs)]
 

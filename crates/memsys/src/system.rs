@@ -13,7 +13,6 @@ use pagetable::memory::PhysMem;
 use pagetable::x86_64::Pte;
 use ptguard::engine::ReadVerdict;
 use ptguard::line::Line;
-use sched::{EventKey, EventWheel, Log2Hist};
 
 use crate::cache::Cache;
 use crate::config::MemSysConfig;
@@ -90,7 +89,7 @@ pub struct SystemStats {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum IssueOutcome {
     /// The access completed synchronously (TLB/cache hits all the way, or
-    /// an immediate fault) — no event was scheduled and nothing occupies
+    /// an immediate fault) — no drain was armed and nothing occupies
     /// the in-flight window.
     Done(AccessOutcome),
     /// The access suspended on a DRAM read; its outcome arrives through
@@ -99,36 +98,39 @@ pub enum IssueOutcome {
     Pending(u64),
 }
 
-/// An event scheduled on the system's wheel.
-#[derive(Debug, Clone, Copy)]
-enum PumpEvent {
-    /// Drain the channel's banked queues (armed when the channel's first
-    /// outstanding read is enqueued).
-    Drain,
-}
-
 /// Event-pump counters ([`MemorySystem::pump_stats`]): pure
 /// observability, never fed back into timing.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct PumpStats {
-    /// Events accepted by the wheel (drain arms).
+    /// Channel drains armed (one per channel whose queue went from empty
+    /// to non-empty).
     pub events_posted: u64,
-    /// Events fired by the wheel.
+    /// Armed drains fired by [`MemorySystem::advance_to_next_event`].
     pub events_fired: u64,
-    /// Wheel slot cascades (coarse slots re-filed downward).
-    pub wheel_cascades: u64,
     /// Bank-ready completions observed by the pipelined drains (one per
-    /// serviced read; counted off the wheel so pure observability never
-    /// costs a wheel round-trip).
+    /// serviced read).
     pub bank_ready_events: u64,
     /// Distributed-refresh slices (one tREFI each) completed across the
     /// channel devices, blocking interludes included.
     pub refresh_events: u64,
     /// Calls to [`MemorySystem::advance_to_next_event`] that fired events.
     pub advances: u64,
-    /// Histogram of virtual time skipped per advance, in ps (the idle
-    /// gaps the event pump jumps over instead of polling through).
-    pub idle_skip_ps: Log2Hist,
+    /// Total virtual time skipped by those advances, in ps (the idle gaps
+    /// the event pump jumps over instead of polling through).
+    pub idle_skip_total_ps: u128,
+}
+
+impl PumpStats {
+    /// Mean virtual time skipped per advance, in ps (0.0 before the
+    /// first advance).
+    #[must_use]
+    pub fn idle_skip_mean_ps(&self) -> f64 {
+        if self.advances == 0 {
+            0.0
+        } else {
+            self.idle_skip_total_ps as f64 / self.advances as f64
+        }
+    }
 }
 
 /// Result of classifying one walk-level PTE (shared by the blocking walk
@@ -232,21 +234,21 @@ pub struct MemorySystem {
     pending: Vec<PendingOp>,
     /// Ops that finished since the last [`MemorySystem::pipe_take_completed`].
     completed: Vec<(u64, AccessOutcome)>,
-    /// Reusable buffer for one channel's drain in [`MemorySystem::pipe_step`].
+    /// Reusable buffer for one channel's drain in
+    /// [`MemorySystem::advance_to_next_event`].
     drain_buf: Vec<(u64, crate::controller::DramRead)>,
     /// Reusable channel-tagged retire buffer for the cross-channel merge.
     merge_buf: Vec<(u32, u64, crate::controller::DramRead)>,
     next_op_id: u64,
-    /// The event engine: per-channel drain arms, popped in
-    /// `(ps, channel, id)` order. Per-channel device clocks are
-    /// independent latency accumulators, so the wheel's `now` is a
-    /// max-progress frontier; lagging channels clamp forward
-    /// (deterministically) when they arm.
-    wheel: EventWheel<PumpEvent>,
-    /// Whether a [`PumpEvent::Drain`] is scheduled for each channel.
-    armed: Vec<bool>,
-    /// Pump observability counters (the wheel's own posted/fired/cascade
-    /// counts live in the wheel; see [`MemorySystem::pump_stats`]).
+    /// The event engine: the picosecond each channel's drain was armed
+    /// at, if one is armed (at most one per channel).
+    armed: Vec<Option<u128>>,
+    /// Virtual-time frontier: the latest armed time any advance fired.
+    /// Per-channel device clocks are independent latency accumulators, so
+    /// an arm may lie behind the frontier; firing it never moves time back.
+    now_ps: u128,
+    /// Pump observability counters (refresh slices are sampled from the
+    /// devices; see [`MemorySystem::pump_stats`]).
     pump: PumpStats,
 }
 
@@ -305,8 +307,8 @@ impl MemorySystem {
             drain_buf: Vec::new(),
             merge_buf: Vec::new(),
             next_op_id: 0,
-            wheel: EventWheel::new(),
-            armed: vec![false; cfg.channels],
+            armed: vec![None; cfg.channels],
+            now_ps: 0,
             pump: PumpStats::default(),
             cfg,
         }
@@ -685,13 +687,13 @@ impl MemorySystem {
     /// fills (and any dirty lines they produce) would be lost.
     pub fn flush_caches(&mut self) {
         // Drain through the event engine, not a blind step loop: if reads
-        // are queued but no event can fire, stepping again would spin
+        // are queued but no drain is armed, stepping again would spin
         // forever — fail loudly with the stuck state instead.
         while self.any_queued_reads() {
             let progressed = self.advance_to_next_event();
             assert!(
                 progressed,
-                "flush deadlock: {} reads queued across {} channels but no event is scheduled \
+                "flush deadlock: {} reads queued across {} channels but no drain is armed \
                  ({} pending ops, {} MSHR entries)",
                 self.queued_reads_total(),
                 self.channels(),
@@ -771,8 +773,8 @@ impl MemorySystem {
 
     /// Issues a demand access into the pipelined path and returns its op id.
     /// The op runs as far as the caches allow; a full miss suspends it on
-    /// the MSHR file until a [`Self::pipe_step`] drains the controller. The
-    /// result is collected via [`Self::pipe_take_completed`].
+    /// the MSHR file until [`Self::advance_to_next_event`] drains the
+    /// controller. The result is collected via [`Self::pipe_take_completed`].
     pub fn pipe_issue(&mut self, va: VirtAddr, write: bool) -> u64 {
         if write {
             self.stats.stores += 1;
@@ -866,41 +868,29 @@ impl MemorySystem {
         IssueOutcome::Pending(id)
     }
 
-    /// Steps the pipeline once (compatibility shim over the event engine:
-    /// exactly [`Self::advance_to_next_event`], discarding the progress
-    /// flag).
-    pub fn pipe_step(&mut self) {
-        let _ = self.advance_to_next_event();
-    }
-
-    /// Pumps the event engine one round: jumps virtual time to the next
-    /// scheduled events, drains every channel whose arm fired, merges the
+    /// Pumps the event engine one round: jumps virtual time to the latest
+    /// armed drain, drains every armed channel in index order, merges the
     /// completions, and resumes the ops waiting on them (resumed ops run
     /// until they complete or suspend on a new miss, arming the next
-    /// round). Returns `false` — having done nothing — when no events are
-    /// scheduled.
+    /// round). Returns `false` — having done nothing — when no channel is
+    /// armed.
     ///
     /// Completions retire in integer-picosecond order, ties broken by
-    /// channel index then request id — the same `(ps, channel, id)` total
-    /// order the wheel itself pops in — so the resume order is
-    /// deterministic and, with one channel, identical to the
-    /// single-controller model's `(dram_ps, id)` order.
+    /// channel index then request id — a unique key, so the order in
+    /// which channels are drained cannot matter — and, with one channel,
+    /// identical to the single-controller model's `(dram_ps, id)` order.
     pub fn advance_to_next_event(&mut self) -> bool {
-        if self.wheel.is_empty() {
-            return false;
-        }
-        let from_ps = self.wheel.now_ps();
+        let from_ps = self.now_ps;
         let mut drained = std::mem::take(&mut self.drain_buf);
         if self.aux.is_empty() {
-            // Single-channel fast path: at most one drain arm can ever be
-            // scheduled, and a drain's output is already in `(dram_ps,
-            // id)` completion order, so the cross-channel tag/merge/sort
-            // is skipped — the resume order is identical by construction.
-            let Some((_, PumpEvent::Drain)) = self.wheel.pop() else {
-                unreachable!("non-empty wheel");
+            // Single-channel fast path: a drain's output is already in
+            // `(dram_ps, id)` completion order, so the cross-channel
+            // tag/merge/sort is skipped — the resume order is identical by
+            // construction.
+            let Some(ps) = self.armed[0].take() else {
+                return false;
             };
-            debug_assert!(self.wheel.is_empty(), "one channel, one arm");
-            self.armed[0] = false;
+            self.fire(ps);
             drained.clear();
             self.controller.drain_reads(&mut drained);
             self.pump.bank_ready_events += drained.len() as u64;
@@ -911,21 +901,23 @@ impl MemorySystem {
             self.drain_buf = drained;
             return true;
         }
+        if self.armed.iter().all(Option::is_none) {
+            return false;
+        }
         let mut merged = std::mem::take(&mut self.merge_buf);
         merged.clear();
-        // One round = everything currently scheduled. Arms posted by the
-        // resumes below land in the wheel for the next round.
-        while let Some((key, PumpEvent::Drain)) = self.wheel.pop() {
-            let ch = key.channel as usize;
-            self.armed[ch] = false;
+        // One round = every armed channel. Arms made by the resumes below
+        // wait for the next round.
+        for ch in 0..self.armed.len() {
+            let Some(ps) = self.armed[ch].take() else {
+                continue;
+            };
+            self.fire(ps);
             drained.clear();
             self.channel_mut(ch).drain_reads(&mut drained);
             self.pump.bank_ready_events += drained.len() as u64;
-            merged.extend(
-                drained
-                    .drain(..)
-                    .map(|(req_id, read)| (key.channel, req_id, read)),
-            );
+            let tag = u32::try_from(ch).expect("channel index");
+            merged.extend(drained.drain(..).map(|(req_id, read)| (tag, req_id, read)));
         }
         self.record_advance(from_ps);
         if merged.len() > 1 {
@@ -939,13 +931,16 @@ impl MemorySystem {
         true
     }
 
+    /// Fires one armed drain, moving the frontier up to its time.
+    fn fire(&mut self, ps: u128) {
+        self.pump.events_fired += 1;
+        self.now_ps = self.now_ps.max(ps);
+    }
+
     /// Counts one pump round and the virtual time it skipped.
     fn record_advance(&mut self, from_ps: u128) {
         self.pump.advances += 1;
-        let skipped = self.wheel.now_ps() - from_ps;
-        self.pump
-            .idle_skip_ps
-            .record(u64::try_from(skipped).unwrap_or(u64::MAX));
+        self.pump.idle_skip_total_ps += self.now_ps - from_ps;
     }
 
     /// Retires one completed read: pops its MSHR entry and resumes every
@@ -974,21 +969,17 @@ impl MemorySystem {
         }
     }
 
-    /// Event-pump counters (wheel traffic, device completions, idle
+    /// Event-pump counters (drain arms, device completions, idle
     /// skips). Refresh slices are sampled from the channel devices, so
     /// the count covers the whole run, blocking interludes included.
     #[must_use]
     pub fn pump_stats(&self) -> PumpStats {
-        let wheel = self.wheel.stats();
         let refresh_events = (0..self.channels())
             .map(|ch| self.channel(ch).device().stats().refresh_slices)
             .sum();
         PumpStats {
-            events_posted: wheel.posted,
-            events_fired: wheel.fired,
-            wheel_cascades: wheel.cascades,
             refresh_events,
-            ..self.pump.clone()
+            ..self.pump
         }
     }
 
@@ -1088,7 +1079,7 @@ impl MemorySystem {
                     }
                 }
                 OpState::AwaitWalk { .. } | OpState::AwaitData { .. } => {
-                    unreachable!("suspended ops resume through pipe_step")
+                    unreachable!("suspended ops resume through advance_to_next_event")
                 }
             }
         }
@@ -1116,20 +1107,11 @@ impl MemorySystem {
                 merged: Vec::new(),
             });
             self.stats.mshr_hwm = self.stats.mshr_hwm.max(self.mshr.len() as u64);
-            // First outstanding read on this channel: arm its drain on
-            // the wheel at the channel device's current time (clamped to
-            // the wheel's frontier if this channel lags).
-            if !self.armed[ch] {
-                self.armed[ch] = true;
-                let ps = self.channel(ch).device().now_ps();
-                self.wheel.post(
-                    EventKey {
-                        ps,
-                        channel: u32::try_from(ch).expect("channel index"),
-                        id: req_id,
-                    },
-                    PumpEvent::Drain,
-                );
+            // First outstanding read on this channel: arm its drain at
+            // the channel device's current time.
+            if self.armed[ch].is_none() {
+                self.armed[ch] = Some(self.channel(ch).device().now_ps());
+                self.pump.events_posted += 1;
             }
         }
         self.pending.push(op);
@@ -1509,7 +1491,7 @@ mod tests {
             let out_b = blocking.load(va);
             let id = piped.pipe_issue(va, false);
             while piped.pipe_pending() > 0 {
-                piped.pipe_step();
+                assert!(piped.advance_to_next_event());
             }
             let done = piped.pipe_take_completed();
             assert_eq!(done.len(), 1);
@@ -1567,7 +1549,7 @@ mod tests {
         let b = sys.pipe_issue(VirtAddr::new(base + 8), false);
         assert_eq!(sys.pipe_pending(), 2, "both ops wait on the same miss");
         while sys.pipe_pending() > 0 {
-            sys.pipe_step();
+            assert!(sys.advance_to_next_event());
         }
         let done = sys.pipe_take_completed();
         assert_eq!(done.len(), 2);
@@ -1649,7 +1631,7 @@ mod tests {
                 .map(|i| sys.pipe_issue(VirtAddr::new(base + i * 4096), i % 3 == 0))
                 .collect();
             while sys.pipe_pending() > 0 {
-                sys.pipe_step();
+                assert!(sys.advance_to_next_event());
             }
             let done = sys.pipe_take_completed();
             assert_eq!(done.len(), ids.len(), "no in-flight op may be dropped");
@@ -1662,5 +1644,31 @@ mod tests {
             assert_eq!(outa.cycles(), outb.cycles());
             assert!(outa.is_ok());
         }
+    }
+
+    #[test]
+    fn pump_counters_are_pinned_for_a_four_channel_run() {
+        // Sixteen cold ops in flight across four channels, two rounds,
+        // sixteen more issued, then pumped dry: the pinned totals catch
+        // any change to how drains arm, fire and skip idle time.
+        let mut sys = system_n(true, 4);
+        let (space, base) = setup(&mut sys, 32);
+        cold_start(&mut sys, &space);
+        for i in 0..16 {
+            let _ = sys.pipe_issue_event(VirtAddr::new(base + i * 4096), i % 3 == 0);
+        }
+        assert!(sys.advance_to_next_event());
+        assert!(sys.advance_to_next_event());
+        for i in 16..32 {
+            let _ = sys.pipe_issue_event(VirtAddr::new(base + i * 4096), i % 3 == 0);
+        }
+        while sys.advance_to_next_event() {}
+        assert_eq!(sys.pipe_pending(), 0);
+        let pump = sys.pump_stats();
+        assert_eq!(pump.events_posted, 11);
+        assert_eq!(pump.events_fired, 11);
+        assert_eq!(pump.advances, 5);
+        assert_eq!(pump.bank_ready_events, 39);
+        assert_eq!(pump.idle_skip_total_ps, 2_333_670);
     }
 }

@@ -20,8 +20,15 @@
 //! while misses suspend and retire through
 //! [`MemorySystem::advance_to_next_event`] — the event pump that jumps
 //! virtual time to the next DRAM completion instead of stepping and
-//! re-scanning. The fold is a running max, so resolving hits at issue
-//! time is order-independent and leaves the final cycle count identical.
+//! re-scanning. Folding a hit at issue is exact at `mlp = 1` only: there
+//! the window is empty whenever an op issues, so the fold lands where the
+//! blocking model's `+=` chain does. At `mlp > 1` it is a different model,
+//! not a reordering: the fold raises `clock`, every later op reads `clock`
+//! as its issue time, so a hit stalls the front end for its whole latency
+//! instead of overlapping the older misses still in flight. Which
+//! semantics an in-order core with a non-blocking window should have is an
+//! open item (ROADMAP.md, the mlp > 1 semantics item).
+//!
 //! [`WindowedDriver::new_polling`] keeps the pre-event discipline (every
 //! op through the op machinery and the completion buffer) as a benchmark
 //! control. Both modes issue the same accesses and verify the same MACs
@@ -102,9 +109,9 @@ impl WindowedDriver {
         match sys.pipe_issue_event(va, write) {
             IssueOutcome::Done(out) => {
                 debug_assert!(out.is_ok(), "unexpected fault: {out:?}");
-                // Folding at issue instead of retire is exact: the fold
-                // is a running max over finish times, so its result does
-                // not depend on the order hits and misses reach it.
+                // Exact at mlp = 1 only: at wider windows this raises
+                // `clock`, which delays every later op's issue time (see
+                // the module docs).
                 self.fold(self.clock, out.cycles());
             }
             IssueOutcome::Pending(id) => self.track(sys, id),
@@ -151,7 +158,7 @@ impl WindowedDriver {
             let progressed = sys.advance_to_next_event();
             assert!(
                 progressed,
-                "event pump stalled: op {id} in flight but no event is scheduled"
+                "event pump stalled: op {id} in flight but no drain is armed"
             );
         };
         debug_assert!(out.is_ok(), "unexpected fault: {out:?}");

@@ -8,7 +8,7 @@
 //! the [`ChannelInterleave`]). Each core is an O3-overlap in-order pipeline
 //! as in the per-core model. Core pipelines run in integer milli-cycles;
 //! the channel serialization point runs in integer picoseconds — the same
-//! timeline the DRAM devices and the event wheel use — with a single
+//! timeline the DRAM devices and the event pump use — with a single
 //! rounding point per request ([`clock::millicycles_to_ps`]), so
 //! interleavings and totals are exact at any horizon.
 //!
