@@ -4,8 +4,8 @@
 //! bench qarma|mac|memsys|channels|serve|arena|all [--out FILE] [--fast] [--jobs N] [--check FILE]
 //! ```
 //!
-//! Unlike the `cargo bench` targets (which only print), this binary
-//! captures every measurement and emits a machine-readable report:
+//! The binary captures every measurement and emits a machine-readable
+//! report:
 //!
 //! * `qarma`/`mac` → `BENCH_qarma.json` — ns/op for the QARMA-64/128
 //!   kernels, the PTE-line MAC (scalar and batch), verification, and the
@@ -14,8 +14,8 @@
 //!   QARMA-128 kernel ran (`qarma128_kernel`: `ssse3` or `portable`).
 //! * `memsys` → `BENCH_memsys.json` — host ns per simulated memory op and
 //!   simulated IPC for the blocking driver vs. the event pipeline at
-//!   `mlp ∈ {1, 2, 4}`, on two MAC-heavy profiles; the committed report
-//!   records how much batched MAC verification cuts host time.
+//!   `mlp ∈ {1, 2, 4}` plus the polling-discipline control, on three
+//!   MAC-heavy profiles.
 //! * `serve` → `BENCH_serve.json` — full latency *distribution* (p50/p99/
 //!   p999 from the same [`serve::hist::Log2Hist`] the load generator
 //!   reports with) of the coalescing core's drain at batch sizes 1/2/4/8,
@@ -572,14 +572,11 @@ const MEMSYS_PROFILES: [&str; 3] = ["sssp", "xalancbmk", "bfs"];
 enum Mode {
     /// Legacy blocking driver (`run_blocking`).
     Blocking,
-    /// Windowed driver with the batched drain-time MAC kernel.
+    /// Windowed driver with the event pump.
     Pipelined,
     /// Windowed driver with the pre-event per-op polling discipline
     /// (`run_polling`) — the host-cost control for the event pump.
     Polling,
-    /// Windowed driver with scalar per-chunk MAC verification — the
-    /// unbatched control (`MemoryController::set_unbatched_mac`).
-    ScalarMac,
 }
 
 /// One measured pipeline configuration on one profile.
@@ -610,7 +607,7 @@ fn memsys_profile(
     let go = |m: &mut _, mode: Mode| match mode {
         Mode::Blocking => run_blocking(m, instrs),
         Mode::Polling => simx::runner::run_polling(m, instrs),
-        Mode::Pipelined | Mode::ScalarMac => simx::runner::run(m, instrs),
+        Mode::Pipelined => simx::runner::run(m, instrs),
     };
     let mut machines: Vec<_> = modes
         .iter()
@@ -626,10 +623,6 @@ fn memsys_profile(
                 4,
                 mem_cfg,
             );
-            machine
-                .sys
-                .controller
-                .set_unbatched_mac(mode == Mode::ScalarMac);
             let _ = go(&mut machine, mode); // warm-up: caches, TLB, page tables
             machine
         })
@@ -676,7 +669,7 @@ fn memsys_profile(
 /// sweep, rendered as the `ptguard-bench-memsys/v1` report.
 fn bench_memsys(fast: bool) -> Value {
     let (instrs, reps) = if fast { (20_000, 2) } else { (60_000, 25) };
-    let modes: [(&'static str, usize, Mode); 6] = [
+    let modes: [(&'static str, usize, Mode); 5] = [
         ("blocking", 1, Mode::Blocking),
         ("mlp1", 1, Mode::Pipelined),
         ("mlp2", 2, Mode::Pipelined),
@@ -684,12 +677,8 @@ fn bench_memsys(fast: bool) -> Value {
         // Same window as mlp4, but every op goes through the op machinery
         // and completion buffer — the pre-event polling control.
         ("mlp4-poll", 4, Mode::Polling),
-        // Same window as mlp4, but the drain verifies with one scalar
-        // cipher call per chunk — the unbatched-verification control.
-        ("mlp4-scalar", 4, Mode::ScalarMac),
     ];
     let mut profiles = Vec::new();
-    let mut batch_effect = Vec::new();
     for name in MEMSYS_PROFILES {
         let points = memsys_profile(name, &modes, instrs, reps);
         for p in &points {
@@ -698,17 +687,6 @@ fn bench_memsys(fast: bool) -> Value {
                 p.mode, p.ns_per_sim_op, p.sim_ipc, p.mac_computations, p.dram_reads
             );
         }
-        let ns_of = |mode: &str| {
-            points
-                .iter()
-                .find(|p| p.mode == mode)
-                .expect("mode measured")
-                .ns_per_sim_op
-        };
-        batch_effect.push((
-            name.to_string(),
-            Value::F64(ns_of("mlp4-scalar") / ns_of("mlp4").max(1e-9)),
-        ));
         profiles.push((
             name.to_string(),
             Value::Obj(
@@ -736,15 +714,10 @@ fn bench_memsys(fast: bool) -> Value {
         ("instructions", Value::U64(instrs)),
         ("reps", Value::U64(reps as u64)),
         ("profiles", Value::Obj(profiles)),
-        (
-            "host_ns_per_op_scalar_over_batched",
-            Value::Obj(batch_effect),
-        ),
     ])
 }
 
 /// The memsys arm of the `--check` gate: the committed report must show
-/// the batched pipeline beating the serial one on at least one profile,
 /// the event-driven mlp4 pipeline at or under the blocking driver's host
 /// cost on at least one profile (the point of replacing per-step polling
 /// with the event pump), and a fresh quick measurement must not have
@@ -759,19 +732,6 @@ fn check_memsys(committed: &Value) -> Result<(), String> {
             .and_then(Value::as_f64)
             .ok_or_else(|| format!("committed report lacks profiles.{profile}.{mode}"))
     };
-    let mut batched_wins = false;
-    for p in MEMSYS_PROFILES {
-        let (scalar, batched) = (ns_of(p, "mlp4-scalar")?, ns_of(p, "mlp4")?);
-        println!(
-            "check: {p} committed mlp4-scalar {scalar:.1} vs mlp4 {batched:.1} host-ns/sim-op"
-        );
-        if batched < scalar {
-            batched_wins = true;
-        }
-    }
-    if !batched_wins {
-        return Err("committed BENCH_memsys shows no batched-MAC win on any profile".to_string());
-    }
     let mut event_wins = false;
     for p in MEMSYS_PROFILES {
         let (blocking, event) = (ns_of(p, "blocking")?, ns_of(p, "mlp4")?);

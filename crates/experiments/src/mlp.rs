@@ -2,16 +2,15 @@
 //! parallelism.
 //!
 //! The paper's timing model is fully blocking — every miss serialises the
-//! core. The pipelined memory system (MSHR file, banked controller queues,
-//! batched MAC verification) keeps `mlp` operations in flight; this
-//! artefact sweeps the window over MAC-heavy profiles and reports how much
-//! of the PT-Guard latency bank-level overlap hides, alongside the
-//! pipeline's observability counters (queue/MSHR high-water marks, MAC
-//! batch sizes, per-bank row locality). `mlp = 1` is pinned byte-identical
+//! core. The pipelined memory system (MSHR file, banked controller queues)
+//! keeps `mlp` operations in flight; this artefact sweeps the window over
+//! MAC-heavy profiles and reports how much of the PT-Guard latency
+//! bank-level overlap hides, alongside the pipeline's observability
+//! counters (queue/MSHR high-water marks, per-bank row locality, pump
+//! arms and idle skips). `mlp = 1` is pinned byte-identical
 //! to the blocking model, so the sweep's first column doubles as a
 //! regression anchor.
 
-use memsys::controller::MAC_BATCH_BUCKETS;
 use memsys::MemSysConfig;
 use ptguard::PtGuardConfig;
 use simx::runner::{build_machine_from_source_cfg, run, Protection};
@@ -47,9 +46,6 @@ pub struct MlpRow {
     pub mshr_hwm: u64,
     /// DRAM row-buffer hit fraction over all banks.
     pub row_hit_rate: f64,
-    /// MAC verification batch-size histogram
-    /// (buckets: 1, 2, 3–4, 5–8, 9–16, >16).
-    pub mac_batches: [u64; MAC_BATCH_BUCKETS],
     /// Drain arms over both regions (one per channel with outstanding
     /// reads; completions ride the drain).
     pub events_posted: u64,
@@ -108,7 +104,6 @@ pub fn run_seeded(scale: Scale, sweep_seed: u64) -> Vec<MlpRow> {
                 queue_hwm: cstats.queue_occupancy_hwm,
                 mshr_hwm: machine.sys.stats().mshr_hwm,
                 row_hit_rate: hits as f64 / (hits + misses).max(1) as f64,
-                mac_batches: cstats.mac_batch_hist,
                 events_posted: pump.events_posted,
                 events_fired: pump.events_fired,
                 idle_skip_mean_ps: pump.idle_skip_mean_ps(),
@@ -132,7 +127,6 @@ pub fn render(rows: &[MlpRow]) -> String {
         "row-hit",
         "events p/f",
         "idle-skip",
-        "MAC batches (1 / 2 / 3-4 / 5-8 / 9-16 / >16)",
     ]);
     for r in rows {
         t.row(vec![
@@ -146,11 +140,10 @@ pub fn render(rows: &[MlpRow]) -> String {
             format!("{:.1}%", 100.0 * r.row_hit_rate),
             format!("{}/{}", r.events_posted, r.events_fired),
             format!("{:.1} ns", r.idle_skip_mean_ps / 1000.0),
-            r.mac_batches.map(|c| c.to_string()).join(" / "),
         ]);
     }
     format!(
-        "Event pipeline: PT-Guard under memory-level parallelism\n{}\nmlp=1 is pinned byte-identical to the blocking model; larger windows\noverlap misses across banks and batch MAC verification per drain.\nevents p/f = drain arms posted/fired; idle-skip = mean virtual time\njumped per pump advance instead of being polled through.\n",
+        "Event pipeline: PT-Guard under memory-level parallelism\n{}\nmlp=1 is pinned byte-identical to the blocking model; larger windows\noverlap misses across banks and verify each read as it completes.\nevents p/f = drain arms posted/fired; idle-skip = mean virtual time\njumped per pump advance instead of being polled through.\n",
         t.render()
     )
 }
@@ -166,7 +159,7 @@ mod tests {
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.cycles, y.cycles, "{}@{}", x.name, x.mlp);
-            assert_eq!(x.mac_batches, y.mac_batches);
+            assert_eq!(x.queue_hwm, y.queue_hwm, "{}@{}", x.name, x.mlp);
         }
         for r in &a {
             assert!(
@@ -187,11 +180,10 @@ mod tests {
             assert_eq!(r.events_posted, r.events_fired, "{}@{}", r.name, r.mlp);
             assert!(r.idle_skip_mean_ps >= 0.0);
         }
-        // At least one MAC-heavy profile must actually batch at mlp=4.
+        // Wide windows must actually drain several reads at once.
         assert!(
-            a.iter()
-                .any(|r| r.mlp == 4 && r.mac_batches[1..].iter().sum::<u64>() > 0),
-            "no multi-MAC batch observed at mlp=4"
+            a.iter().any(|r| r.mlp == 4 && r.queue_hwm > 1),
+            "no multi-read drain observed at mlp=4"
         );
     }
 }

@@ -68,8 +68,7 @@ pub struct MemSysConfig {
     /// Memory-level parallelism: the bounded window of in-flight memory
     /// operations the pipelined drivers issue against the event pipeline.
     /// `1` degenerates to the blocking model bit-for-bit; larger windows
-    /// (the default is 4) overlap misses across banks and let the
-    /// controller batch MAC verification over each drain.
+    /// (the default is 4) overlap misses across banks.
     pub mlp: usize,
     /// Memory channels: one [`crate::MemoryController`] + DRAM device per
     /// channel behind the shared LLC, with lines spread by the XOR-folded

@@ -8,12 +8,13 @@
 //! * the **banked-queue** path ([`MemoryController::enqueue_read`] /
 //!   [`MemoryController::drain_reads`]) accepts a window of outstanding
 //!   reads, schedules each bank's queue FR-FCFS against the device's
-//!   per-bank busy-until timing, and verifies all ready PTE MACs through
-//!   one [`ptguard::mac::PteMac::compute_batch`] call per drain.
+//!   per-bank busy-until timing, and verifies each serviced read as it
+//!   completes.
 //!
 //! A drain of a single request is *bit-identical* to one `read_line` call:
-//! the bank wait is exactly `0.0`, a batch of one computes the same MAC,
-//! and both paths funnel through the same `finish_read` tail.
+//! the bank wait is 0 ps, and both paths funnel every read through the
+//! same `finish_read` tail, so each line meets the engine's verification
+//! cascade exactly once, in completion order.
 
 use std::collections::VecDeque;
 
@@ -26,10 +27,6 @@ use ptguard::PtGuardEngine;
 
 use crate::config::clock;
 use crate::fullmac::FullMemoryMac;
-
-/// Number of buckets in [`ControllerStats::mac_batch_hist`]: batch sizes
-/// 1, 2, 3-4, 5-8, 9-16, and >16.
-pub const MAC_BATCH_BUCKETS: usize = 6;
 
 /// FR-FCFS age cap: a queued request may be bypassed by younger row-hit
 /// requests at most this many times before the scheduler picks it
@@ -55,10 +52,6 @@ pub struct ControllerStats {
     pub mac_cycles_added: u64,
     /// High-water mark of reads outstanding across all bank queues.
     pub queue_occupancy_hwm: u64,
-    /// Histogram of MAC verification batch sizes per drain step
-    /// (buckets: 1, 2, 3-4, 5-8, 9-16, >16). Drains whose every read takes
-    /// a shortcut (CTB / identifier skip / MAC-zero) record nothing.
-    pub mac_batch_hist: [u64; MAC_BATCH_BUCKETS],
 }
 
 impl ControllerStats {
@@ -74,9 +67,6 @@ impl ControllerStats {
         self.check_failures += other.check_failures;
         self.mac_cycles_added += other.mac_cycles_added;
         self.queue_occupancy_hwm = self.queue_occupancy_hwm.max(other.queue_occupancy_hwm);
-        for (b, o) in self.mac_batch_hist.iter_mut().zip(&other.mac_batch_hist) {
-            *b += o;
-        }
     }
 }
 
@@ -102,16 +92,10 @@ struct ServicedRead {
 }
 
 /// Scratch buffers reused across [`MemoryController::drain_reads`] calls so
-/// a steady-state drain performs no heap allocation (the MAC batch itself
-/// runs on stack buffers for any realistic window — see
-/// [`ptguard::mac::PteMac::compute_batch_into`]).
+/// a steady-state drain performs no heap allocation.
 #[derive(Debug, Default)]
 struct DrainScratch {
     serviced: Vec<ServicedRead>,
-    macs: Vec<Option<u128>>,
-    needing: Vec<usize>,
-    items: Vec<(Line, PhysAddr)>,
-    computed: Vec<u128>,
     /// One bank's queue, flattened for in-place FR-FCFS picking.
     bankq: Vec<QueuedRead>,
     /// Parallel to `bankq`: whether the slot has been scheduled.
@@ -167,11 +151,6 @@ pub struct MemoryController {
     next_req_id: u64,
     /// Reusable drain buffers (see [`DrainScratch`]).
     scratch: DrainScratch,
-    /// Benchmark control: when set, drained reads are verified with one
-    /// scalar cipher call per chunk instead of the batched cipher path.
-    /// MAC values — and therefore every simulated outcome — are identical;
-    /// only host time differs. See [`Self::set_unbatched_mac`].
-    unbatched_mac: bool,
 }
 
 impl MemoryController {
@@ -191,7 +170,6 @@ impl MemoryController {
             queued: 0,
             next_req_id: 0,
             scratch: DrainScratch::default(),
-            unbatched_mac: false,
         }
     }
 
@@ -215,7 +193,6 @@ impl MemoryController {
             queued: 0,
             next_req_id: 0,
             scratch: DrainScratch::default(),
-            unbatched_mac: false,
         }
     }
 
@@ -236,21 +213,19 @@ impl MemoryController {
         self.device.tap_pte_hint(is_pte);
         let dram_ps = self.device.access_ps(addr, false);
         let raw = Line::from_bytes(&self.device.read_line(addr));
-        self.finish_read(addr, is_pte, dram_ps, raw, None)
+        self.finish_read(addr, is_pte, dram_ps, raw)
     }
 
     /// The shared tail of a line read: PT-Guard / full-memory-MAC
     /// verification and stat accounting for a line whose DRAM service
     /// (`dram_ps`) and raw contents (`raw`) are already known. Both the
-    /// blocking path and the drain path end here; `precomputed_mac` carries
-    /// the batched MAC when the drain already computed it.
+    /// blocking path and the drain path end here.
     fn finish_read(
         &mut self,
         addr: PhysAddr,
         is_pte: bool,
         mut dram_ps: u128,
         raw: Line,
-        precomputed_mac: Option<u128>,
     ) -> DramRead {
         self.stats.reads += 1;
         if is_pte {
@@ -259,7 +234,7 @@ impl MemoryController {
         let mut mac_cycles = 0u64;
         let (mut line, mut verdict) = match &mut self.engine {
             Some(engine) => {
-                let out = engine.process_read_with(raw, addr, is_pte, precomputed_mac);
+                let out = engine.process_read(raw, addr, is_pte);
                 mac_cycles += u64::from(out.added_latency_cycles);
                 (out.line, out.verdict)
             }
@@ -355,21 +330,14 @@ impl MemoryController {
     /// busy-until time, so same-bank requests serialise while different
     /// banks overlap. Completion order is `(service finish in integer ps,
     /// request id)`: pure integer comparison, so it is identical across
-    /// hosts and `--jobs` values.
-    ///
-    /// MAC verification is batched: every serviced read that will reach full
-    /// verification (per [`PtGuardEngine::read_needs_mac`]) contributes its
-    /// four chunk encryptions to one
-    /// [`ptguard::mac::PteMac::compute_batch_into`] call, and the result is
-    /// fed back through the normal per-read verify path.
+    /// hosts and `--jobs` values. Each read is then verified in that order
+    /// through the same per-read path as [`Self::read_line`].
     pub fn drain_reads(&mut self, out: &mut Vec<(u64, DramRead)>) {
         // Single-request fast path: with one read queued (the common event
-        // round — a lone walk step or data miss arming the pump), FR-FCFS,
-        // the completion sort and the batch plumbing all degenerate to
-        // identity, so service the request directly. Timing, MAC values,
-        // verdicts and stats are exactly the general path's: one candidate
-        // is picked unconditionally, and a one-item MAC batch is the plain
-        // per-line computation.
+        // round — a lone walk step or data miss arming the pump), FR-FCFS
+        // and the completion sort degenerate to identity, so service the
+        // request directly. Timing, verdicts and stats are exactly the
+        // general path's: one candidate is picked unconditionally.
         if self.queued == 1 {
             let bank = self
                 .active_banks
@@ -383,19 +351,7 @@ impl MemoryController {
             self.device.tap_pte_hint(q.is_pte);
             let t = self.device.service_at(q.addr, false, t0);
             let raw = Line::from_bytes(&self.device.read_line(q.addr));
-            let mac = match &self.engine {
-                Some(engine) if engine.read_needs_mac(&raw, q.addr, q.is_pte) => {
-                    self.stats.mac_batch_hist[0] += 1;
-                    let unit = engine.mac_unit();
-                    Some(if self.unbatched_mac {
-                        unit.compute_unbatched(&raw, q.addr)
-                    } else {
-                        unit.compute(&raw, q.addr)
-                    })
-                }
-                _ => None,
-            };
-            let read = self.finish_read(q.addr, q.is_pte, t.wait_ps + t.latency_ps, raw, mac);
+            let read = self.finish_read(q.addr, q.is_pte, t.wait_ps + t.latency_ps, raw);
             out.push((q.id, read));
             return;
         }
@@ -481,49 +437,9 @@ impl MemoryController {
             s.serviced.sort_by_key(|r| (r.dram_ps, r.id));
         }
 
-        // One MAC batch over every read that will reach full verification.
-        s.macs.clear();
-        s.macs.resize(s.serviced.len(), None);
-        if let Some(engine) = &self.engine {
-            s.needing.clear();
-            s.items.clear();
-            for (i, r) in s.serviced.iter().enumerate() {
-                if engine.read_needs_mac(&r.raw, r.addr, r.is_pte) {
-                    s.needing.push(i);
-                    s.items.push((r.raw, r.addr));
-                }
-            }
-            if !s.needing.is_empty() {
-                s.computed.clear();
-                if self.unbatched_mac {
-                    // Unbatched-verification control: one scalar cipher call
-                    // per chunk, same MAC values (see `set_unbatched_mac`).
-                    let mac = engine.mac_unit();
-                    s.computed
-                        .extend(s.items.iter().map(|(l, a)| mac.compute_unbatched(l, *a)));
-                } else {
-                    engine
-                        .mac_unit()
-                        .compute_batch_into(&s.items, &mut s.computed);
-                }
-                for (&i, &mac) in s.needing.iter().zip(&s.computed) {
-                    s.macs[i] = Some(mac);
-                }
-                let bucket = match s.needing.len() {
-                    1 => 0,
-                    2 => 1,
-                    3..=4 => 2,
-                    5..=8 => 3,
-                    9..=16 => 4,
-                    _ => 5,
-                };
-                self.stats.mac_batch_hist[bucket] += 1;
-            }
-        }
-
         out.reserve(s.serviced.len());
-        for (r, mac) in s.serviced.iter().zip(&s.macs) {
-            let read = self.finish_read(r.addr, r.is_pte, r.dram_ps, r.raw, *mac);
+        for r in &s.serviced {
+            let read = self.finish_read(r.addr, r.is_pte, r.dram_ps, r.raw);
             out.push((r.id, read));
         }
         self.scratch = s;
@@ -562,19 +478,6 @@ impl MemoryController {
     /// Mutable DRAM device access (fault injection, hammering).
     pub fn device_mut(&mut self) -> &mut DramDevice {
         &mut self.device
-    }
-
-    /// Switches drain-time MAC verification between the batched cipher path
-    /// (default) and the scalar per-chunk reference path
-    /// ([`ptguard::mac::PteMac::compute_unbatched`]).
-    ///
-    /// The two paths produce bit-identical MACs, so simulated cycle counts,
-    /// verdicts, and stats are unaffected — the knob exists so `bench
-    /// memsys` can isolate the *host-time* cost of unbatched verification
-    /// at an otherwise identical pipeline configuration. No-op for a
-    /// controller without a PT-Guard engine.
-    pub fn set_unbatched_mac(&mut self, on: bool) {
-        self.unbatched_mac = on;
     }
 
     /// The PT-Guard engine, if mounted.
@@ -787,6 +690,84 @@ mod tests {
                 pos.windows(2).all(|w| w[0] < w[1]),
                 "same-row FIFO order violated: {pos:?}"
             );
+        }
+    }
+
+    #[test]
+    fn drained_reads_verify_exactly_like_blocking_reads() {
+        // A multi-read drain and one blocking read per line must reach the
+        // same verdicts through the same engine cascade: identifier skips,
+        // MAC-zero hits, full verifications, a correction and a failure.
+        let twin = || {
+            let device = DramDevice::ddr4_4gb(RowhammerConfig::immune());
+            let engine = PtGuardEngine::new(PtGuardConfig::optimized());
+            MemoryController::new(device, Some(engine), 3.0)
+        };
+        let (mut drained, mut blocking) = (twin(), twin());
+        let data = Line::from_words([u64::MAX, 1, 2, 3, 4, 5, 6, 7]);
+        // (address, contents, walk tag): consecutive rows land in
+        // different banks, with two same-bank pairs (row stride 16 × 8 KiB).
+        let reads: Vec<(PhysAddr, Line, bool)> = (0..12u64)
+            .map(|i| {
+                let addr = PhysAddr::new(0x40_0000 + (i % 10) * 8192 + (i / 10) * 16 * 8192);
+                match i % 3 {
+                    0 => (addr, pte_line(), true),
+                    1 => (addr, data, false),
+                    _ => (addr, Line::ZERO, i % 2 == 0),
+                }
+            })
+            .collect();
+        for mc in [&mut drained, &mut blocking] {
+            for &(addr, line, _) in &reads {
+                mc.write_line(addr, line);
+            }
+            // One correctable flip (a single PFN bit) and one uncorrectable
+            // pattern (three scattered PFN bits) on two PTE lines.
+            for (k, flips) in [(0, &[(0, 13)][..]), (3, &[(0, 14), (1, 17), (3, 20)][..])] {
+                let addr = reads[k].0;
+                let mut raw = Line::from_bytes(&mc.device().read_line(addr));
+                for &(word, bit) in flips {
+                    raw.set_word(word, raw.word(word) ^ (1 << bit));
+                }
+                let bytes = raw.to_bytes();
+                mc.device_mut().write_line(addr, &bytes);
+            }
+        }
+        let ids: Vec<u64> = reads
+            .iter()
+            .map(|&(addr, _, is_pte)| drained.enqueue_read(addr, is_pte))
+            .collect();
+        let mut out = Vec::new();
+        drained.drain_reads(&mut out);
+        assert_eq!(out.len(), reads.len());
+        for (&(addr, _, is_pte), id) in reads.iter().zip(&ids) {
+            let d = out.iter().find(|(o, _)| o == id).expect("drained read").1;
+            let b = blocking.read_line(addr, is_pte);
+            assert_eq!(
+                (d.line, d.verdict, d.mac_cycles),
+                (b.line, b.verdict, b.mac_cycles),
+                "read of {addr:?}"
+            );
+        }
+        let (d, b) = (
+            drained.engine().unwrap().stats(),
+            blocking.engine().unwrap().stats(),
+        );
+        for (name, dv, bv) in [
+            ("reads", d.reads, b.reads),
+            (
+                "read_mac_computations",
+                d.read_mac_computations,
+                b.read_mac_computations,
+            ),
+            ("identifier_skips", d.identifier_skips, b.identifier_skips),
+            ("mac_zero_hits", d.mac_zero_hits, b.mac_zero_hits),
+            ("verified", d.verified, b.verified),
+            ("corrected", d.corrected, b.corrected),
+            ("check_failures", d.check_failures, b.check_failures),
+        ] {
+            assert_eq!(dv, bv, "{name}");
+            assert!(dv > 0, "{name} must be exercised");
         }
     }
 

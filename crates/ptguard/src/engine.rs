@@ -228,50 +228,6 @@ impl PtGuardEngine {
     /// Processes a DRAM read of `line` from `addr` (Sections IV-C to IV-E,
     /// V-A, V-B). `is_pte` is the request-bus bit tagging page-table walks.
     pub fn process_read(&mut self, line: Line, addr: PhysAddr, is_pte: bool) -> ReadOutcome {
-        self.process_read_with(line, addr, is_pte, None)
-    }
-
-    /// Whether a read of `line` from `addr` will reach full MAC verification
-    /// (as opposed to the CTB/identifier/MAC-zero shortcuts). Read-only
-    /// mirror of the shortcut cascade at the top of [`Self::process_read`]:
-    /// the controller's drain step uses it to decide which queued reads to
-    /// include in a [`PteMac::compute_batch`] call. A stale answer can only
-    /// cost batching efficiency, never correctness — [`Self::process_read_with`]
-    /// falls back to a scalar MAC when no precomputed value is supplied.
-    #[must_use]
-    pub fn read_needs_mac(&self, line: &Line, addr: PhysAddr, is_pte: bool) -> bool {
-        if self.ctb.contains(addr) {
-            return false;
-        }
-        let fmt = self.cfg.format;
-        if self.cfg.optimized {
-            let id = pattern::extract_identifier_for(line, fmt);
-            if id != self.cfg.identifier && !is_pte {
-                return false;
-            }
-            if id == self.cfg.identifier
-                && pattern::strip_mac_and_identifier_for(line, fmt).is_zero()
-                && pattern::extract_mac_for(line, fmt) == self.mac.mac_zero()
-            {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// [`Self::process_read`], with an optionally precomputed MAC for the
-    /// full-verification path (the controller batches MAC computations over
-    /// a drain of ready reads and feeds each result back through here).
-    /// `precomputed` must be `self.mac_unit().compute(&line, addr)` when
-    /// supplied; `None` computes it inline, so callers may over-approximate
-    /// which reads take a shortcut.
-    pub fn process_read_with(
-        &mut self,
-        line: Line,
-        addr: PhysAddr,
-        is_pte: bool,
-        precomputed: Option<u128>,
-    ) -> ReadOutcome {
         self.stats.reads += 1;
         if is_pte {
             self.stats.pte_reads += 1;
@@ -321,7 +277,7 @@ impl PtGuardEngine {
         self.stats.read_mac_computations += 1;
         let latency = self.cfg.mac_latency_cycles;
         let stored = pattern::extract_mac_for(&line, fmt);
-        let computed = precomputed.unwrap_or_else(|| self.mac.compute(&line, addr));
+        let computed = self.mac.compute(&line, addr);
 
         if computed == stored {
             self.stats.verified += 1;

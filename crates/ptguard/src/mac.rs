@@ -160,10 +160,8 @@ impl PteMac {
     /// IV-F construction: one QARMA invocation per 16-byte chunk, where
     /// [`Self::compute`] hands all four chunks to the cipher at once (on
     /// the SSSE3 kernel, one interleaved group of four blocks). It returns
-    /// bit-identical MACs to [`Self::compute`] (the tests pin this), so it
-    /// serves two roles: a cross-check of the batched path, and the
-    /// unbatched-verification control in `bench memsys` (the `mlp4-scalar`
-    /// mode), which isolates how much host time the batched drain saves.
+    /// bit-identical MACs to [`Self::compute`] (the tests pin this); its only
+    /// role is to be the tests' independent reference for the cipher kernels.
     #[must_use]
     pub fn compute_unbatched(&self, line: &Line, addr: PhysAddr) -> u128 {
         let masked = line.masked(self.protected_mask);
@@ -190,9 +188,8 @@ impl PteMac {
     /// All `4 × items.len()` chunk encryptions are flattened into a single
     /// [`Qarma128::encrypt_many`] call, which on the SSSE3 kernel runs each
     /// line's four chunks as one interleaved group. Batches of up to 8
-    /// lines (32 chunk encryptions — well above any realistic MLP window's
-    /// drain) run entirely on stack buffers, so the controller's drain step
-    /// allocates nothing here.
+    /// lines (32 chunk encryptions) run entirely on stack buffers, so a
+    /// caller batching a handful of lines allocates nothing here.
     pub fn compute_batch_into(&self, items: &[(Line, PhysAddr)], out: &mut Vec<u128>) {
         const STACK_LINES: usize = 8;
         if items.len() <= STACK_LINES {
