@@ -524,6 +524,40 @@ impl DramDevice {
             .or_insert_with(|| Box::new([0u8; STORE_PAGE]));
         page[(addr % STORE_PAGE as u64) as usize] = value;
     }
+
+    /// Writes `bytes` at `addr` with the effect of one
+    /// [`PhysMem::write_u8`] per byte, but — when the span stays inside
+    /// one row and one store page, as every aligned line and word does —
+    /// with a single row decode, weak-cell probe and store-page probe.
+    fn write_span(&mut self, addr: u64, bytes: &[u8]) {
+        let len = bytes.len() as u64;
+        let col = u64::from(self.geometry.column_of(PhysAddr::new(addr)));
+        let off = (addr % STORE_PAGE as u64) as usize;
+        if col + len > u64::from(self.geometry.row_bytes) || off + bytes.len() > STORE_PAGE {
+            for (a, &b) in (addr..).zip(bytes) {
+                self.write_u8(PhysAddr::new(a), b);
+            }
+            return;
+        }
+        debug_assert!(
+            addr + len <= self.capacity,
+            "address {addr:#x} beyond capacity"
+        );
+        // A write restores full charge to the cells of every byte written.
+        let row = self.geometry.row_of(PhysAddr::new(addr));
+        if let Some(cells) = self.weak_cells.get_mut(&row) {
+            for c in cells.iter_mut() {
+                if (col..col + len).contains(&(c.bit / 8)) {
+                    c.flipped = false;
+                }
+            }
+        }
+        let page = self
+            .store
+            .entry(addr / STORE_PAGE as u64)
+            .or_insert_with(|| Box::new([0u8; STORE_PAGE]));
+        page[off..off + bytes.len()].copy_from_slice(bytes);
+    }
 }
 
 impl PhysMem for DramDevice {
@@ -560,6 +594,26 @@ impl PhysMem for DramDevice {
             out.copy_from_slice(&page[off..off + 64]);
         }
         out
+    }
+
+    fn write_line(&mut self, addr: PhysAddr, line: &[u8; 64]) {
+        self.write_span(addr.line_addr().as_u64(), line);
+    }
+
+    fn read_u64(&self, addr: PhysAddr) -> u64 {
+        let a = addr.as_u64();
+        let off = (a % STORE_PAGE as u64) as usize;
+        if off + 8 > STORE_PAGE {
+            return (0..8).fold(0, |v, i| v | u64::from(self.load_u8(a + i)) << (8 * i));
+        }
+        debug_assert!(a + 8 <= self.capacity, "address {a:#x} beyond capacity");
+        self.store.get(&(a / STORE_PAGE as u64)).map_or(0, |page| {
+            u64::from_le_bytes(page[off..off + 8].try_into().expect("8-byte slice"))
+        })
+    }
+
+    fn write_u64(&mut self, addr: PhysAddr, value: u64) {
+        self.write_span(addr.as_u64(), &value.to_le_bytes());
     }
 }
 
@@ -770,6 +824,157 @@ mod tests {
             assert_eq!(t.wait_ps, busy - t0, "chain drifted at access {k}");
             busy += lat;
         }
+    }
+
+    /// A byte-wise reference: forwards only the byte accessors, so its
+    /// word and line accessors are the [`PhysMem`] defaults.
+    struct ByteWise(DramDevice);
+
+    impl PhysMem for ByteWise {
+        fn size(&self) -> u64 {
+            self.0.size()
+        }
+
+        fn read_u8(&self, addr: PhysAddr) -> u8 {
+            self.0.read_u8(addr)
+        }
+
+        fn write_u8(&mut self, addr: PhysAddr, value: u8) {
+            self.0.write_u8(addr, value);
+        }
+    }
+
+    #[test]
+    fn line_and_word_accessors_match_the_byte_wise_defaults() {
+        let rh = RowhammerConfig {
+            threshold: 1000.0,
+            weak_cells_per_row: 64.0,
+            ..RowhammerConfig::default()
+        };
+        let mut fast = DramDevice::ddr4_4gb(rh);
+        let mut reference = ByteWise(DramDevice::ddr4_4gb(rh));
+        let rows = fast.geometry().rows_per_bank;
+        let row_bytes = u64::from(fast.geometry().row_bytes);
+        let victims: Vec<RowId> = (200..208).map(|row| RowId { bank: 0, row }).collect();
+        let mut rng = rng::SplitMix64::new(0x5eed);
+        for _ in 0..1500 {
+            let row = victims[rng.gen_range_usize(0, victims.len())];
+            let base = fast.geometry().row_base(row).as_u64();
+            // Mostly aligned, sometimes an arbitrary byte address, so the
+            // row- and page-crossing fallbacks are driven too.
+            let offset = rng.gen_range_u64(0, row_bytes);
+            let offset = if rng.gen_bool(0.2) {
+                offset
+            } else {
+                offset & !7
+            };
+            let word = PhysAddr::new(base + offset);
+            match rng.gen_range_u64(0, 5) {
+                0 => {
+                    let mut line = [0u8; 64];
+                    for chunk in line.chunks_mut(8) {
+                        chunk.copy_from_slice(&rng.next_u64().to_le_bytes());
+                    }
+                    fast.write_line(word, &line);
+                    reference.write_line(word, &line);
+                }
+                1 => {
+                    let value = rng.next_u64();
+                    fast.write_u64(word, value);
+                    reference.write_u64(word, value);
+                }
+                2 => assert_eq!(fast.read_u64(word), reference.read_u64(word)),
+                3 => assert_eq!(fast.read_line(word), reference.read_line(word)),
+                _ => {
+                    let aggressor = row
+                        .offset(rng.gen_range_u64(0, 3) as i64 - 1, rows)
+                        .unwrap();
+                    let times = rng.gen_range_u64(50, 1500);
+                    fast.hammer(aggressor, times);
+                    reference.0.hammer(aggressor, times);
+                }
+            }
+        }
+        assert!(fast.stats().total_flips > 0, "the stream must flip cells");
+        assert_eq!(fast.flips(), reference.0.flips());
+        assert_eq!(fast.stats().total_flips, reference.0.stats().total_flips);
+        for row in (195..213).map(|row| RowId { bank: 0, row }) {
+            assert_eq!(fast.pressure(row), reference.0.pressure(row), "{row:?}");
+            let base = fast.geometry().row_base(row).as_u64();
+            for line in (base..base + row_bytes).step_by(64) {
+                let a = PhysAddr::new(line);
+                assert_eq!(fast.read_line(a), reference.read_line(a), "{a:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn rewrites_rearm_only_the_weak_cells_of_the_bytes_written() {
+        let mut d = DramDevice::ddr4_4gb(RowhammerConfig {
+            threshold: 1000.0,
+            weak_cells_per_row: 64.0,
+            ..RowhammerConfig::default()
+        });
+        // Row 20 000 sits late in the refresh sweep, so no slice restores
+        // it while this test hammers.
+        let aggressor = RowId {
+            bank: 0,
+            row: 20_000,
+        };
+        let victim = aggressor.offset(1, d.geometry().rows_per_bank).unwrap();
+        let base = d.geometry().row_base(victim).as_u64();
+        let row_bytes = u64::from(d.geometry().row_bytes);
+        for line in (base..base + row_bytes).step_by(64) {
+            d.write_line(PhysAddr::new(line), &[0xff; 64]);
+        }
+        d.hammer(aggressor, 2500); // past every cell's threshold
+        let line_of = |addr: u64| (addr - base) / 64;
+        let victim_flips = |d: &DramDevice, from: usize| -> Vec<u64> {
+            d.flips()[from..]
+                .iter()
+                .filter(|f| f.row == victim)
+                .map(|f| f.addr.as_u64())
+                .collect()
+        };
+        let first = victim_flips(&d, 0);
+        let mut spent: Vec<u64> = first.iter().map(|&a| line_of(a)).collect();
+        spent.sort_unstable();
+        spent.dedup();
+        assert!(
+            spent.len() >= 3,
+            "flips must land in several lines: {spent:?}"
+        );
+        assert!(d.weak_cells(victim).iter().all(|c| c.flipped));
+
+        // Rewriting one line re-arms exactly the cells of its 64 bytes.
+        let line = spent[1];
+        d.write_line(PhysAddr::new(base + line * 64), &[0xff; 64]);
+        for c in d.weak_cells(victim) {
+            assert_eq!(c.flipped, c.bit / 8 / 64 != line, "cell at bit {}", c.bit);
+        }
+        let mark = d.flips().len();
+        d.hammer(aggressor, 1);
+        let mut again = victim_flips(&d, mark);
+        let mut expected: Vec<u64> = first.into_iter().filter(|&a| line_of(a) == line).collect();
+        again.sort_unstable();
+        expected.sort_unstable();
+        assert_eq!(again, expected, "only the rewritten line re-flips");
+
+        // A word rewrite re-arms only its 8 bytes; the rest of the row
+        // stays spent until the refresh sweep reaches it.
+        let word = base + spent[2] * 64;
+        d.write_u64(PhysAddr::new(word), u64::MAX);
+        let col = word - base;
+        for c in d.weak_cells(victim) {
+            assert_eq!(
+                c.flipped,
+                !(col..col + 8).contains(&(c.bit / 8)),
+                "cell at bit {}",
+                c.bit
+            );
+        }
+        d.advance_time(d.timing().t_refw_ns);
+        assert!(d.weak_cells(victim).iter().all(|c| !c.flipped));
     }
 
     #[test]

@@ -1646,6 +1646,43 @@ mod tests {
         }
     }
 
+    /// Writes `value` at `addr` through a generic store and reads it back —
+    /// the shape of every `M: PhysMem` consumer handed a `&mut` borrow.
+    fn roundtrip<M: PhysMem>(mut m: M, addr: PhysAddr, value: u64) -> u64 {
+        m.write_u64(addr, value);
+        m.read_u64(addr)
+    }
+
+    /// The line-granular counterpart of [`roundtrip`].
+    fn line_roundtrip<M: PhysMem>(mut m: M, addr: PhysAddr, line: &[u8; 64]) -> [u8; 64] {
+        m.write_line(addr, line);
+        m.read_line(addr)
+    }
+
+    #[test]
+    fn borrowed_stores_keep_their_word_and_line_accessors() {
+        // `OsPort` has no byte accessors: a `&mut` forward that fell back
+        // to the byte defaults would panic here.
+        let mut sys = system(true);
+        let (a, b) = (PhysAddr::new(0x20_0040), PhysAddr::new(0x20_0048));
+        let mut port = OsPort::new(&mut sys);
+        assert_eq!(
+            roundtrip(&mut port, a, 0x1234_5678_9abc_def0),
+            0x1234_5678_9abc_def0
+        );
+        port.write_u64(b, 7);
+        assert_eq!(port.read_u64(a), 0x1234_5678_9abc_def0);
+        assert_eq!(roundtrip(&mut port, b, 9), 9);
+        assert_eq!(port.read_u64(b), 9);
+
+        let mut device = DramDevice::ddr4_4gb(RowhammerConfig::immune());
+        assert_eq!(roundtrip(&mut device, a, u64::MAX), u64::MAX);
+        assert_eq!(device.read_u64(a), u64::MAX);
+        let line = [0xa5u8; 64];
+        assert_eq!(line_roundtrip(&mut device, b, &line), line);
+        assert_eq!(device.read_line(b), line);
+    }
+
     #[test]
     fn pump_counters_are_pinned_for_a_four_channel_run() {
         // Sixteen cold ops in flight across four channels, two rounds,

@@ -13,6 +13,12 @@ use crate::CACHELINE_SIZE;
 /// Implementations must tolerate arbitrary in-range addresses; alignment of
 /// the word accessors is the caller's responsibility (the walker always
 /// issues naturally aligned accesses).
+///
+/// Only the byte accessors are required; the word and line accessors
+/// default to loops over them. Stores with a cheaper word or line path
+/// (the DRAM device's one page probe per access, the OS port's
+/// word-granular cache path) override those defaults, and the `&mut M`
+/// impl forwards every accessor so a borrowed store keeps its overrides.
 pub trait PhysMem {
     /// Total size in bytes.
     fn size(&self) -> u64;
@@ -105,6 +111,22 @@ impl<M: PhysMem + ?Sized> PhysMem for &mut M {
 
     fn write_u8(&mut self, addr: PhysAddr, value: u8) {
         (**self).write_u8(addr, value);
+    }
+
+    fn read_u64(&self, addr: PhysAddr) -> u64 {
+        (**self).read_u64(addr)
+    }
+
+    fn write_u64(&mut self, addr: PhysAddr, value: u64) {
+        (**self).write_u64(addr, value);
+    }
+
+    fn read_line(&self, addr: PhysAddr) -> [u8; CACHELINE_SIZE] {
+        (**self).read_line(addr)
+    }
+
+    fn write_line(&mut self, addr: PhysAddr, line: &[u8; CACHELINE_SIZE]) {
+        (**self).write_line(addr, line);
     }
 }
 
