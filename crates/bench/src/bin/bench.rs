@@ -14,8 +14,7 @@
 //!   QARMA-128 kernel ran (`qarma128_kernel`: `ssse3` or `portable`).
 //! * `memsys` → `BENCH_memsys.json` — host ns per simulated memory op and
 //!   simulated IPC for the blocking driver vs. the event pipeline at
-//!   `mlp ∈ {1, 2, 4}` plus the polling-discipline control, on three
-//!   MAC-heavy profiles.
+//!   `mlp ∈ {1, 2, 4}`, on three MAC-heavy profiles.
 //! * `serve` → `BENCH_serve.json` — full latency *distribution* (p50/p99/
 //!   p999 from the same [`serve::hist::Log2Hist`] the load generator
 //!   reports with) of the coalescing core's drain at batch sizes 1/2/4/8,
@@ -574,9 +573,6 @@ enum Mode {
     Blocking,
     /// Windowed driver with the event pump.
     Pipelined,
-    /// Windowed driver with the pre-event per-op polling discipline
-    /// (`run_polling`) — the host-cost control for the event pump.
-    Polling,
 }
 
 /// One measured pipeline configuration on one profile.
@@ -606,7 +602,6 @@ fn memsys_profile(
     let p = by_name(name).expect("profile");
     let go = |m: &mut _, mode: Mode| match mode {
         Mode::Blocking => run_blocking(m, instrs),
-        Mode::Polling => simx::runner::run_polling(m, instrs),
         Mode::Pipelined => simx::runner::run(m, instrs),
     };
     let mut machines: Vec<_> = modes
@@ -669,14 +664,11 @@ fn memsys_profile(
 /// sweep, rendered as the `ptguard-bench-memsys/v1` report.
 fn bench_memsys(fast: bool) -> Value {
     let (instrs, reps) = if fast { (20_000, 2) } else { (60_000, 25) };
-    let modes: [(&'static str, usize, Mode); 5] = [
+    let modes: [(&'static str, usize, Mode); 4] = [
         ("blocking", 1, Mode::Blocking),
         ("mlp1", 1, Mode::Pipelined),
         ("mlp2", 2, Mode::Pipelined),
         ("mlp4", 4, Mode::Pipelined),
-        // Same window as mlp4, but every op goes through the op machinery
-        // and completion buffer — the pre-event polling control.
-        ("mlp4-poll", 4, Mode::Polling),
     ];
     let mut profiles = Vec::new();
     for name in MEMSYS_PROFILES {

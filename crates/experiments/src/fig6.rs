@@ -107,40 +107,3 @@ pub fn render(r: &Fig6Result) -> String {
         pct(1.0 - worst_ipc),
     )
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn trial_fig6_has_paper_shape() {
-        let r = run(Scale::Trial);
-        assert_eq!(r.rows.len(), 25);
-        // Slowdown is bounded and grows with MPKI: the highest-MPKI
-        // workload must be among the slowest.
-        for row in &r.rows {
-            assert!(
-                row.normalized_ipc > 0.85 && row.normalized_ipc <= 1.001,
-                "{row:?}"
-            );
-        }
-        let (worst, _) = r.worst();
-        let worst_mpki = r.rows.iter().find(|x| x.name == worst).unwrap().mpki;
-        let max_mpki = r.rows.iter().map(|x| x.mpki).fold(0.0, f64::max);
-        assert!(
-            worst_mpki > 0.4 * max_mpki,
-            "worst slowdown should be memory-intensive"
-        );
-        // Mean slowdown lands in the paper's low-single-percent regime.
-        assert!(
-            r.mean_slowdown() < 0.05,
-            "mean slowdown {}",
-            r.mean_slowdown()
-        );
-        assert!(
-            r.mean_slowdown() > 0.0005,
-            "mean slowdown {} suspiciously low",
-            r.mean_slowdown()
-        );
-    }
-}

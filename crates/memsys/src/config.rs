@@ -65,10 +65,11 @@ pub struct MemSysConfig {
     pub mmu_cache_latency_cycles: u64,
     /// Core clock in GHz (Table III: 3 GHz), used to convert DRAM ns.
     pub core_ghz: f64,
-    /// Memory-level parallelism: the bounded window of in-flight memory
-    /// operations the pipelined drivers issue against the event pipeline.
-    /// `1` degenerates to the blocking model bit-for-bit; larger windows
-    /// (the default is 4) overlap misses across banks.
+    /// Memory-level parallelism: how many memory operations may wait on a
+    /// DRAM read at once (an MSHR-style cap; see `simx`'s windowed
+    /// driver for the full semantics). `1`, the default, is the paper's
+    /// in-order core that stalls on every access, bit-for-bit the
+    /// blocking model; larger windows overlap misses across banks.
     pub mlp: usize,
     /// Memory channels: one [`crate::MemoryController`] + DRAM device per
     /// channel behind the shared LLC, with lines spread by the XOR-folded
@@ -103,7 +104,7 @@ impl Default for MemSysConfig {
             mmu_cache_ways: 4,
             mmu_cache_latency_cycles: 2,
             core_ghz: 3.0,
-            mlp: 4,
+            mlp: 1,
             channels: 1,
         }
     }

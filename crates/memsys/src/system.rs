@@ -771,48 +771,18 @@ impl MemorySystem {
         }
     }
 
-    /// Issues a demand access into the pipelined path and returns its op id.
-    /// The op runs as far as the caches allow; a full miss suspends it on
-    /// the MSHR file until [`Self::advance_to_next_event`] drains the
-    /// controller. The result is collected via [`Self::pipe_take_completed`].
-    pub fn pipe_issue(&mut self, va: VirtAddr, write: bool) -> u64 {
-        if write {
-            self.stats.stores += 1;
-        } else {
-            self.stats.loads += 1;
-        }
-        let id = self.next_op_id;
-        self.next_op_id += 1;
-        let mut op = PendingOp {
-            id,
-            va,
-            write,
-            cycles: self.cfg.tlb_latency_cycles,
-            state: OpState::Walk {
-                table: self.root,
-                level: 3,
-            },
-        };
-        if let Some(leaf) = self.tlb.lookup(va.vpn()) {
-            op.state = OpState::Data { leaf };
-        } else {
-            self.stats.walks += 1;
-        }
-        self.drive(op);
-        id
-    }
-
     /// Issues a demand access on the event-driven pipeline, resolving
     /// synchronous completions inline.
     ///
-    /// Equivalent to [`Self::pipe_issue`] followed by checking whether the
-    /// op already completed — same stats, same cache/TLB side effects,
-    /// same cycle counts — but a TLB hit that also hits the caches skips
-    /// the op machinery entirely (no id, no completion-buffer round trip),
-    /// which is the overwhelmingly common case the per-step polling
-    /// pipeline made every access pay for. Ops that complete synchronously
-    /// never consume an op id; ids stay monotonic across the ops that do
-    /// suspend, which is all the MSHR merge order needs.
+    /// The op runs as far as the caches allow. An access that completes
+    /// without a DRAM read (a TLB and cache hit, or a walk whose lines all
+    /// hit) returns [`IssueOutcome::Done`] and never consumes an op id; a
+    /// TLB hit that also hits the caches skips the op machinery entirely.
+    /// A miss suspends on the MSHR file and returns
+    /// [`IssueOutcome::Pending`] with its id; [`Self::advance_to_next_event`]
+    /// resumes it, and its outcome is collected with
+    /// [`Self::pipe_drain_completed`]. Ids stay monotonic across the ops
+    /// that suspend, which is all the MSHR merge order needs.
     pub fn pipe_issue_event(&mut self, va: VirtAddr, write: bool) -> IssueOutcome {
         if write {
             self.stats.stores += 1;
@@ -1475,6 +1445,14 @@ mod tests {
         }
     }
 
+    /// Issues an access that must miss to DRAM and returns its op id.
+    fn issue_miss(sys: &mut MemorySystem, va: VirtAddr, write: bool) -> u64 {
+        match sys.pipe_issue_event(va, write) {
+            IssueOutcome::Pending(id) => id,
+            IssueOutcome::Done(out) => panic!("cold access completed at issue: {out:?}"),
+        }
+    }
+
     #[test]
     fn pipelined_access_matches_blocking_cycles() {
         // One cold access through each path, from identical machine state,
@@ -1489,7 +1467,7 @@ mod tests {
             cold_start(&mut blocking, &space_b);
             cold_start(&mut piped, &space_p);
             let out_b = blocking.load(va);
-            let id = piped.pipe_issue(va, false);
+            let id = issue_miss(&mut piped, va, false);
             while piped.pipe_pending() > 0 {
                 assert!(piped.advance_to_next_event());
             }
@@ -1513,7 +1491,7 @@ mod tests {
         // Issue a window of stores that all miss to DRAM; their dirty fills
         // exist only in the pipeline until the misses complete.
         let ids: Vec<u64> = (0..4)
-            .map(|i| sys.pipe_issue(VirtAddr::new(base + i * 4096), true))
+            .map(|i| issue_miss(&mut sys, VirtAddr::new(base + i * 4096), true))
             .collect();
         assert!(sys.pipe_pending() > 0, "cold stores must suspend on misses");
         assert!(sys.controller.has_queued_reads());
@@ -1545,8 +1523,8 @@ mod tests {
         };
         sys.invalidate_line(pa);
         let reads_before = sys.controller.stats().reads;
-        let a = sys.pipe_issue(VirtAddr::new(base), false);
-        let b = sys.pipe_issue(VirtAddr::new(base + 8), false);
+        let a = issue_miss(&mut sys, VirtAddr::new(base), false);
+        let b = issue_miss(&mut sys, VirtAddr::new(base + 8), false);
         assert_eq!(sys.pipe_pending(), 2, "both ops wait on the same miss");
         while sys.pipe_pending() > 0 {
             assert!(sys.advance_to_next_event());
@@ -1628,7 +1606,7 @@ mod tests {
             let (space, base) = setup(&mut sys, 32);
             cold_start(&mut sys, &space);
             let ids: Vec<u64> = (0..32)
-                .map(|i| sys.pipe_issue(VirtAddr::new(base + i * 4096), i % 3 == 0))
+                .map(|i| issue_miss(&mut sys, VirtAddr::new(base + i * 4096), i % 3 == 0))
                 .collect();
             while sys.pipe_pending() > 0 {
                 assert!(sys.advance_to_next_event());

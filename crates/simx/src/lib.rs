@@ -31,6 +31,6 @@ pub mod source;
 
 pub use runner::{
     build_machine, build_machine_from_source, build_machine_from_source_cfg, run, run_blocking,
-    run_polling, simulate_workload, simulate_workload_cfg, Machine, Protection, RunResult,
+    simulate_workload, simulate_workload_cfg, Machine, Protection, RunResult,
 };
 pub use source::OpSource;

@@ -40,10 +40,6 @@ pub struct MultiCoreConfig {
     pub instructions_per_core: u64,
     /// DRAM capacity in GB (paper: 16).
     pub dram_gb: u64,
-    /// Per-core memory-level parallelism window (see
-    /// [`MemSysConfig::mlp`]); `1` reproduces the blocking O3 model
-    /// bit-for-bit.
-    pub mlp: usize,
 }
 
 impl Default for MultiCoreConfig {
@@ -54,7 +50,6 @@ impl Default for MultiCoreConfig {
             contention: 2.5,
             instructions_per_core: 100_000,
             dram_gb: 16,
-            mlp: 1,
         }
     }
 }
@@ -83,7 +78,6 @@ pub fn run_core_from_source<S: OpSource>(
     // contended DRAM channel.
     let mut mem_cfg = MemSysConfig::default();
     mem_cfg.llc.size_bytes = 1 << 20;
-    mem_cfg.mlp = cfg.mlp;
     let mut timing = DramTiming::default();
     timing.t_rcd_ns *= cfg.contention;
     timing.t_rp_ns *= cfg.contention;
@@ -112,10 +106,10 @@ pub fn run_core_from_source<S: OpSource>(
     sys.flush_caches();
 
     // O3 core: one cycle per instruction plus the *unhidden* fraction of
-    // the memory latency, with up to `mlp` memory ops in flight. The first
-    // pass warms caches and TLB (unmeasured, like the paper's 25
+    // the memory latency, with up to `mlp` memory ops waiting on DRAM. The
+    // first pass warms caches and TLB (unmeasured, like the paper's 25
     // Bn-instruction fast-forward); the second pass is the measured region.
-    // Each pass drains its window and the measured pass resets both clocks,
+    // Each pass drains its window and the measured pass resets the clock,
     // so warm-up completion times cannot leak into the measurement.
     //
     // The core clock runs in integer milli-cycles: each instruction adds
@@ -124,10 +118,10 @@ pub fn run_core_from_source<S: OpSource>(
     // An f64 clock drifts at long horizons — past 2^53 the ulp exceeds a
     // cycle and `+= 1.0` stops advancing; integers cannot lose ticks.
     let keep_millis = ((1.0 - cfg.o3_overlap) * 1000.0).round() as u64;
-    let mut driver = WindowedDriver::new(cfg.mlp, 1000, keep_millis);
+    let mut driver = WindowedDriver::new(mem_cfg.mlp, 1000, keep_millis);
     for phase in 0..2 {
         if phase == 1 {
-            driver.reset_clocks();
+            driver.reset_clock();
         }
         for _ in 0..cfg.instructions_per_core {
             driver.tick_instruction();

@@ -2,11 +2,12 @@
 //!
 //! Two drivers share one machine model: [`run_blocking`] executes each
 //! memory operation to completion (the pre-pipeline model, kept as the
-//! byte-identity reference), while [`run`] issues a bounded window of
-//! in-flight operations ([`MemSysConfig::mlp`]) against the pipelined
-//! memory system. With `mlp = 1` the windowed driver retires each op before
-//! the next instruction issues and reproduces the blocking driver's cycle
-//! count and cache state bit for bit.
+//! byte-identity reference), while [`run`] lets up to
+//! [`MemSysConfig::mlp`] operations wait on DRAM at once against the
+//! pipelined memory system. With `mlp = 1` (the default) the windowed
+//! driver retires each op before the next instruction issues and
+//! reproduces the blocking driver's cycle count and cache state bit for
+//! bit.
 
 use dram::{DramDevice, DramGeometry, DramTiming, RowhammerConfig};
 use memsys::system::OsPort;
@@ -212,55 +213,29 @@ pub fn build_machine_from_source_cfg<S: OpSource>(
 ///
 /// The core is in-order (gem5 `TimingSimpleCPU`-like, matching the paper's
 /// pessimistic single-core setup): every instruction costs one cycle, and
-/// each memory operation is issued into the pipeline with up to
-/// [`MemSysConfig::mlp`] operations in flight. When the window is full the
-/// front end stalls until the oldest op retires; ops retire in order, so
-/// the core clock advances to `max(issue + latency)` over the window. With
-/// `mlp = 1` every op retires before the next instruction issues — the
-/// exact blocking model (see [`run_blocking`]), bit for bit.
+/// up to [`MemSysConfig::mlp`] memory operations may wait on DRAM at once.
+/// An access that completes at issue (cache hits all the way) stalls the
+/// front end for its latency; a miss takes a window slot, and when an
+/// issue fills the window the front end stalls until the oldest op
+/// retires. Ops retire in order, and the run takes as many cycles as its
+/// last finish time (DESIGN.md §9). With `mlp = 1`, the default, every op
+/// retires before the next instruction issues — the exact blocking model
+/// (see [`run_blocking`]), bit for bit.
 pub fn run<S: OpSource>(machine: &mut Machine<S>, instructions: u64) -> RunResult {
-    let stats_before = machine.sys.stats();
-    let mac_before = read_mac_total(machine);
-    let mut mem_ops = 0u64;
-    // The shared windowed driver: one cycle per instruction, the whole
-    // latency kept at retire. With a window of 1 the front-end clock
-    // accumulates exactly `1 + out.cycles()` per memory instruction — the
-    // blocking sum.
     let mut driver = WindowedDriver::new(machine.sys.config().mlp, 1, 1);
-    for _ in 0..instructions {
-        driver.tick_instruction();
-        let (va, write) = match machine.source.next_op() {
-            Op::Compute => continue,
-            Op::Load(va) => (va, false),
-            Op::Store(va) => (va, true),
-        };
-        mem_ops += 1;
-        driver.mem_op(&mut machine.sys, va, write);
-    }
-    driver.drain(&mut machine.sys);
-    finalize_result(
-        machine,
-        instructions,
-        driver.clock(),
-        mem_ops,
-        stats_before,
-        mac_before,
-    )
+    run_on(machine, instructions, &mut driver)
 }
 
-/// Runs `instructions` like [`run`], but issuing every memory op through
-/// the per-op polling discipline the event engine replaced (no
-/// synchronous-completion fast path). The access stream, MAC
-/// computations, and DRAM reads match [`run`] exactly, but cycle counts
-/// and IPC diverge at `mlp > 1`: hits occupy window slots here instead
-/// of folding at issue, so windows compose differently. Kept as the
-/// event-vs-polling benchmark control (`bench memsys`'s `mlp4-poll`
-/// row).
-pub fn run_polling<S: OpSource>(machine: &mut Machine<S>, instructions: u64) -> RunResult {
+/// [`run`] on a caller-supplied driver: one cycle per instruction, the
+/// whole latency kept at retire.
+pub(crate) fn run_on<S: OpSource>(
+    machine: &mut Machine<S>,
+    instructions: u64,
+    driver: &mut WindowedDriver,
+) -> RunResult {
     let stats_before = machine.sys.stats();
     let mac_before = read_mac_total(machine);
     let mut mem_ops = 0u64;
-    let mut driver = WindowedDriver::new_polling(machine.sys.config().mlp, 1, 1);
     for _ in 0..instructions {
         driver.tick_instruction();
         let (va, write) = match machine.source.next_op() {

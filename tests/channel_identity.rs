@@ -11,7 +11,8 @@
 //!    against the system total.
 //! 3. `channels = 1` is byte-identical to the single-controller model —
 //!    pinned by `tests/controller_cycles.rs`; here we pin the config
-//!    default so that test keeps guarding the multi-channel code path.
+//!    default so that test keeps guarding the multi-channel code path,
+//!    and the in-order default window the paper artefacts run on.
 
 use dram::{DramDevice, DramTiming, RowhammerConfig};
 use memsys::config::clock;
@@ -108,4 +109,13 @@ fn channel_counts_reconcile_across_widths() {
 #[test]
 fn default_config_is_single_channel() {
     assert_eq!(MemSysConfig::default().channels, 1);
+}
+
+/// The paper's core is in-order and stalls on every memory access
+/// (DESIGN.md §2), and every paper artefact runs on the default
+/// configuration: a wider default window silently shrinks Figure 6's
+/// slowdowns by an order of magnitude.
+#[test]
+fn default_config_is_in_order() {
+    assert_eq!(MemSysConfig::default().mlp, 1);
 }

@@ -12,8 +12,8 @@ use workloads::ALL_WORKLOADS;
 /// Pinned total cycles for every Figure 6 workload, simulated for 60 000
 /// instructions under default PT-Guard at seed `0x5eed + index`, with
 /// `mlp` pinned to 1 — the blocking schedule these totals were minted
-/// under (the default window is wider now, but `mlp = 1` must stay
-/// byte-identical to it forever).
+/// under. `mlp = 1` is also the default, but the pin names it so that a
+/// change of default cannot move these totals.
 /// Regenerate with `PIN_PRINT=1 cargo test -q --test controller_cycles -- --nocapture`.
 const PINNED_CYCLES: [(&str, u64); 25] = [
     ("perlbench", 321141),
