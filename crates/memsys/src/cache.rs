@@ -255,6 +255,48 @@ impl Cache {
     }
 }
 
+// The victim rule of a private L1/L2 stack over an LLC (DESIGN.md §3),
+// shared by every hierarchy. Each helper returns the dirty line that must
+// be written to DRAM, if any; only the choice of controller is the
+// caller's.
+
+/// Fills `l1` and allocates its dirty victim in `l2` as a dirty fill
+/// ([`fill_l2`]).
+pub fn fill_l1(
+    l1: &mut Cache,
+    l2: &mut Cache,
+    llc: &mut Cache,
+    addr: PhysAddr,
+    data: Line,
+    dirty: bool,
+) -> Option<(PhysAddr, Line)> {
+    let (victim, line) = l1.fill(addr, data, dirty)?;
+    fill_l2(l2, llc, victim, line, true)
+}
+
+/// Fills `l2` and retires its dirty victim ([`retire_l2`]).
+pub fn fill_l2(
+    l2: &mut Cache,
+    llc: &mut Cache,
+    addr: PhysAddr,
+    data: Line,
+    dirty: bool,
+) -> Option<(PhysAddr, Line)> {
+    let (victim, line) = l2.fill(addr, data, dirty)?;
+    retire_l2(llc, victim, line)
+}
+
+/// Retires a dirty L2 line: it merges into `llc` if the LLC holds it, and
+/// is otherwise returned for DRAM (the LLC does not allocate it).
+pub fn retire_l2(llc: &mut Cache, addr: PhysAddr, line: Line) -> Option<(PhysAddr, Line)> {
+    if llc.peek(addr).is_some() {
+        llc.update(addr, line, true);
+        None
+    } else {
+        Some((addr, line))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -14,7 +14,7 @@ use pagetable::x86_64::Pte;
 use ptguard::engine::ReadVerdict;
 use ptguard::line::Line;
 
-use crate::cache::Cache;
+use crate::cache::{self, Cache};
 use crate::config::MemSysConfig;
 use crate::controller::{ControllerStats, MemoryController};
 use crate::mmucache::MmuCache;
@@ -641,9 +641,10 @@ impl MemorySystem {
         Err(cycles)
     }
 
-    /// Installs a DRAM fill into LLC → L2 (→ L1 for demand accesses),
-    /// evicting through [`Self::writeback`] / the controller as usual.
-    /// Shared by the blocking miss path and the pipelined resume path.
+    /// Installs a DRAM fill into LLC → L2 (→ L1 for demand accesses); L1
+    /// and L2 victims follow the victim rule ([`Self::fill_level`]), an
+    /// LLC victim goes to DRAM. Shared by the blocking miss path and the
+    /// pipelined resume path.
     fn install_fill(&mut self, addr: PhysAddr, line: Line, write: bool, is_pte: bool) {
         if let Some((wa, wl)) = self.llc.fill(addr, line, false) {
             self.ctrl_for(wa).write_line(wa, wl);
@@ -654,28 +655,19 @@ impl MemorySystem {
         }
     }
 
-    /// Fills `addr` into cache level `level` (0 = L1D, 1 = L2), writing any
-    /// evicted dirty line back through [`Self::writeback`] — the one
-    /// level-indexed fill/eviction helper both access paths share.
+    /// Fills `addr` into cache level `level` (0 = L1D, 1 = L2) under the
+    /// victim rule ([`cache::fill_l1`] / [`cache::fill_l2`]), writing a line
+    /// that leaves the hierarchy to DRAM (off the critical path). The one
+    /// fill/eviction helper both access paths share.
     fn fill_level(&mut self, level: usize, addr: PhysAddr, line: Line, dirty: bool) {
-        let evicted = match level {
-            0 => self.l1d.fill(addr, line, dirty),
-            1 => self.l2.fill(addr, line, dirty),
+        let (l1, l2, llc) = (&mut self.l1d, &mut self.l2, &mut self.llc);
+        let to_dram = match level {
+            0 => cache::fill_l1(l1, l2, llc, addr, line, dirty),
+            1 => cache::fill_l2(l2, llc, addr, line, dirty),
             _ => unreachable!("only L1D and L2 fill through fill_level"),
         };
-        if let Some((wa, wl)) = evicted {
-            // Writebacks percolate down; model them as reaching DRAM via
-            // the controller (off the critical path).
-            self.writeback(wa, wl);
-        }
-    }
-
-    fn writeback(&mut self, addr: PhysAddr, line: Line) {
-        // Dirty data merges into lower levels if present, else goes to DRAM.
-        if self.llc.peek(addr).is_some() {
-            self.llc.update(addr, line, true);
-        } else {
-            self.ctrl_for(addr).write_line(addr, line);
+        if let Some((wa, wl)) = to_dram {
+            self.ctrl_for(wa).write_line(wa, wl);
         }
     }
 
@@ -705,11 +697,15 @@ impl MemorySystem {
             self.pending.is_empty(),
             "every pending op waits on a queued read"
         );
+        // L1 drains into the L2 first: the L2 may hold an older dirty copy
+        // of the same line, which must not reach DRAM last.
         for (a, l) in self.l1d.drain_dirty() {
-            self.writeback(a, l);
+            self.fill_level(1, a, l, true);
         }
         for (a, l) in self.l2.drain_dirty() {
-            self.writeback(a, l);
+            if let Some((a, l)) = cache::retire_l2(&mut self.llc, a, l) {
+                self.ctrl_for(a).write_line(a, l);
+            }
         }
         for (a, l) in self.llc.drain_dirty() {
             self.ctrl_for(a).write_line(a, l);
@@ -1556,6 +1552,46 @@ mod tests {
             let port = OsPort::new(&mut sys);
             assert_eq!(port.read_u64(addr), 0xdead_beef_cafe_f00d);
         }
+    }
+
+    /// Loads `ways` more lines into `addr`'s L1 set, pushing `addr` out of
+    /// the L1 (they spread over several L2 sets, so the L2 keeps it).
+    fn evict_from_l1(sys: &mut MemorySystem, addr: PhysAddr) {
+        let cfg = sys.config().l1d;
+        let stride = (cfg.sets() * 64) as u64;
+        for i in 1..=cfg.ways as u64 {
+            let _ = sys.line_access(PhysAddr::new(addr.as_u64() + i * stride), false, false);
+        }
+        assert!(sys.l1d.peek(addr).is_none(), "{addr:?} still in the L1");
+    }
+
+    #[test]
+    fn l1_victim_refreshes_the_stale_l2_copy() {
+        // A store to a line the L1 and L2 both hold dirties only the L1
+        // copy. When the L1 evicts it, the L2 copy must take the new data:
+        // sending the victim past the L2 left a stale L2 copy that every
+        // later read returned.
+        let mut sys = system(true);
+        let a = PhysAddr::new(0x10_0000);
+        let _ = sys.line_access(a, false, false);
+        assert!(sys.l2.peek(a).is_some());
+        sys.func_write_u64(a, 0xdead_beef);
+        evict_from_l1(&mut sys, a);
+        assert_eq!(sys.func_read_u64(a), 0xdead_beef);
+        assert_eq!(sys.controller.stats().writes, 0, "the victim stays on chip");
+    }
+
+    #[test]
+    fn flush_writes_the_newer_l1_copy_over_the_older_l2_copy() {
+        let mut sys = system(false);
+        let a = PhysAddr::new(0x20_0000);
+        let _ = sys.line_access(a, false, false);
+        evict_from_l1(&mut sys, a);
+        sys.func_write_u64(a, 1); // the L2 holds a dirty 1
+        let _ = sys.line_access(a, false, false);
+        sys.func_write_u64(a, 2); // the L1 holds a dirty 2
+        sys.flush_caches();
+        assert_eq!(sys.controller.device().read_u64(a), 2);
     }
 
     fn system_n(guarded: bool, channels: usize) -> MemorySystem {

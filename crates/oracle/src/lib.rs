@@ -3,7 +3,7 @@
 //! Every headline number this reproduction reports rests on the fast
 //! set-associative caches, TLB, MMU cache, page walker, and MAC engine
 //! being *semantically equivalent* to their obvious reference definitions.
-//! This crate makes that claim executable, three ways:
+//! This crate makes that claim executable, four ways:
 //!
 //! * [`refmodel`] + [`refwalk`] — deliberately naive reference models (a
 //!   recency-ordered `Vec` per set, a flat `BTreeMap`-backed walk
@@ -12,6 +12,11 @@
 //!   On divergence, a ddmin-style shrinking loop reduces the stream to a
 //!   minimal reproducer and serialises it with the `trace` crate's binary
 //!   primitives.
+//! * [`refhier`] — the whole hierarchy (private L1/L2/TLB/MMU-cache
+//!   stacks around one LLC and DRAM) built from those reference parts, with
+//!   no timing: the statement of DESIGN.md §3's victim rules that
+//!   `MemorySystem` and `SharedSystem` are checked against, counter for
+//!   counter.
 //! * [`macoracle`] — a bit-level MAC oracle that rebuilds the Table IV
 //!   protected masks by explicit bit enumeration and recomputes the
 //!   QARMA-128 PTE MAC independently of `ptguard::PteMac`, asserting
@@ -34,9 +39,11 @@ pub mod campaign;
 pub mod diff;
 pub mod macoracle;
 pub mod ops;
+pub mod refhier;
 pub mod refmodel;
 pub mod refwalk;
 
 pub use campaign::{CampaignConfig, CampaignResult};
 pub use diff::Divergence;
 pub use macoracle::RefMac;
+pub use refhier::{HierarchyCounts, RefHierarchy};

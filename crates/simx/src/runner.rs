@@ -13,6 +13,7 @@ use dram::{DramDevice, DramGeometry, DramTiming, RowhammerConfig};
 use memsys::system::OsPort;
 use memsys::{MemSysConfig, MemoryController, MemorySystem};
 use pagetable::addr::VirtAddr;
+use pagetable::memory::PhysMem;
 use pagetable::space::AddressSpace;
 use pagetable::x86_64::PteFlags;
 use pagetable::PAGE_SIZE;
@@ -183,7 +184,6 @@ pub fn build_machine_from_source_cfg<S: OpSource>(
         .collect();
     let mut sys = MemorySystem::new_multi(mem_cfg, controllers);
 
-    let base = TraceGenerator::HEAP_BASE;
     let pages = profile.hot_pages + profile.stream_pages;
     assert!(
         pages * PAGE_SIZE as u64 + (64 << 20) < (dram_gb << 30),
@@ -191,21 +191,36 @@ pub fn build_machine_from_source_cfg<S: OpSource>(
     );
 
     // OS model: build the address space through the cache hierarchy so PTE
-    // lines acquire MACs when they drain to DRAM. Frames are allocated
-    // sequentially — the contiguity the paper's census observes.
-    let mut port = OsPort::new(&mut sys);
-    let mut space = AddressSpace::new(&mut port, 32).expect("root allocation");
-    for i in 0..pages {
-        let va = VirtAddr::new(base + i * PAGE_SIZE as u64);
-        space
-            .map_new(&mut port, va, PteFlags::user_data())
-            .expect("mapping");
-    }
-    let root = space.root();
-    sys.set_root(root, 32);
+    // lines acquire MACs when they drain to DRAM.
+    let space = map_workload(&mut OsPort::new(&mut sys), profile, 32);
+    sys.set_root(space.root(), 32);
     // Quiesce: page tables reach DRAM (and get MAC-protected).
     sys.flush_caches();
     Machine { sys, space, source }
+}
+
+/// The OS build of a workload: a fresh address space in `mem` for a
+/// machine with `max_phys_bits` of physical address, with every page of
+/// `profile`'s footprint mapped from [`TraceGenerator::HEAP_BASE`] up.
+/// Frames are allocated sequentially — the contiguity the paper's census
+/// observes.
+///
+/// # Panics
+///
+/// Panics if `mem` runs out of frames.
+pub fn map_workload<M: PhysMem + ?Sized>(
+    mem: &mut M,
+    profile: WorkloadProfile,
+    max_phys_bits: u32,
+) -> AddressSpace {
+    let mut space = AddressSpace::new(mem, max_phys_bits).expect("root allocation");
+    for i in 0..profile.hot_pages + profile.stream_pages {
+        let va = VirtAddr::new(TraceGenerator::HEAP_BASE + i * PAGE_SIZE as u64);
+        space
+            .map_new(mem, va, PteFlags::user_data())
+            .expect("mapping");
+    }
+    space
 }
 
 /// Runs `instructions` instructions on a built machine through the

@@ -16,22 +16,21 @@
 //! reports both.
 
 use dram::{ChannelInterleave, DramDevice, DramGeometry, DramTiming, RowhammerConfig};
-use memsys::cache::Cache;
+use memsys::cache::{self, Cache};
 use memsys::config::clock;
 use memsys::mmucache::MmuCache;
 use memsys::system::OsPort;
 use memsys::tlb::Tlb;
 use memsys::{MemSysConfig, MemoryController, MemorySystem};
 use pagetable::addr::{Frame, PhysAddr, VirtAddr};
-use pagetable::space::AddressSpace;
-use pagetable::x86_64::{bits, Pte, PteFlags};
-use pagetable::PAGE_SIZE;
+use pagetable::x86_64::{bits, Pte};
 use ptguard::engine::ReadVerdict;
 use ptguard::line::Line;
 use ptguard::{PtGuardConfig, PtGuardEngine};
 use workloads::multiprog::Bundle;
 use workloads::tracegen::{Op, TraceGenerator};
 
+use crate::runner::map_workload;
 use crate::source::OpSource;
 
 /// Shared-model parameters.
@@ -100,6 +99,19 @@ pub struct SharedSystem<S: OpSource = TraceGenerator> {
     pub queued_requests: u64,
     /// Total DRAM requests.
     pub dram_requests: u64,
+    /// The core of every step, in execution order (for the reference
+    /// check, which replays the same interleaving).
+    #[cfg(test)]
+    schedule: Vec<usize>,
+}
+
+/// The hierarchy geometry of a `cores`-core shared system: Table III
+/// private levels, 1 MB of LLC per core, `cfg.channels` channels.
+fn memsys_config(cores: usize, cfg: &SharedConfig) -> MemSysConfig {
+    MemSysConfig {
+        channels: cfg.channels.max(1),
+        ..MemSysConfig::multicore_percore(cores)
+    }
 }
 
 impl SharedSystem<TraceGenerator> {
@@ -137,9 +149,7 @@ impl<S: OpSource> SharedSystem<S> {
         cfg: SharedConfig,
     ) -> Self {
         assert_eq!(sources.len(), bundle.workloads.len(), "one source per core");
-        let mut mem_cfg = MemSysConfig::default();
-        mem_cfg.llc.size_bytes = bundle.workloads.len() * (1 << 20); // 1 MB/core
-        mem_cfg.channels = cfg.channels.max(1);
+        let mem_cfg = memsys_config(bundle.workloads.len(), &cfg);
         let controllers: Vec<MemoryController> = (0..mem_cfg.channels)
             .map(|_| {
                 let geometry = DramGeometry::with_capacity(cfg.dram_gb << 30);
@@ -152,26 +162,10 @@ impl<S: OpSource> SharedSystem<S> {
 
         // Build each core's address space through a scratch hierarchy so PTE
         // lines are MAC'd in DRAM, then steal the controllers back.
-        // Simpler: build through a temporary MemorySystem sharing nothing,
-        // then write lines straight through the controller write path.
         let mut sys = MemorySystem::new_multi(mem_cfg, controllers);
         let mut cores = Vec::new();
         for (w, source) in bundle.workloads.iter().zip(sources) {
-            // Give each core a disjoint VA slice by rebasing the source's
-            // stream through a per-core address space.
-            let base = TraceGenerator::HEAP_BASE;
-            let pages = w.hot_pages + w.stream_pages;
-            let mut port = OsPort::new(&mut sys);
-            let mut space = AddressSpace::new(&mut port, 34).expect("space");
-            for p in 0..pages {
-                space
-                    .map_new(
-                        &mut port,
-                        VirtAddr::new(base + p * PAGE_SIZE as u64),
-                        PteFlags::user_data(),
-                    )
-                    .expect("map");
-            }
+            let space = map_workload(&mut OsPort::new(&mut sys), *w, 34);
             cores.push(CoreStack {
                 l1: Cache::new(mem_cfg.l1d),
                 l2: Cache::new(mem_cfg.l2),
@@ -204,6 +198,8 @@ impl<S: OpSource> SharedSystem<S> {
             channel_free_at: vec![0; channels],
             queued_requests: 0,
             dram_requests: 0,
+            #[cfg(test)]
+            schedule: Vec::new(),
         }
     }
 
@@ -229,23 +225,15 @@ impl<S: OpSource> SharedSystem<S> {
         cycles += core.l2.latency_cycles;
         if let Some(line) = core.l2.lookup(addr) {
             if !is_pte {
-                if let Some((wa, wl)) = core.l1.fill(addr, line, write) {
-                    self.writeback(wa, wl);
-                }
+                self.fill_l1(ci, addr, line, write);
             }
             return (line, cycles, ReadVerdict::Forwarded);
         }
         cycles += self.llc.latency_cycles;
         if let Some(line) = self.llc.lookup(addr) {
-            let core = &mut self.cores[ci];
-            if let Some((wa, wl)) = core.l2.fill(addr, line, false) {
-                self.writeback(wa, wl);
-            }
+            self.fill_l2(ci, addr, line, false);
             if !is_pte {
-                let core = &mut self.cores[ci];
-                if let Some((wa, wl)) = core.l1.fill(addr, line, write) {
-                    self.writeback(wa, wl);
-                }
+                self.fill_l1(ci, addr, line, write);
             }
             return (line, cycles, ReadVerdict::Forwarded);
         }
@@ -272,29 +260,38 @@ impl<S: OpSource> SharedSystem<S> {
             return (read.line, cycles, read.verdict);
         }
         if let Some((wa, wl)) = self.llc.fill(addr, read.line, false) {
-            let ch = self.interleave.channel_of(wa) as usize;
-            self.controllers[ch].write_line(wa, wl);
+            self.write_dram(wa, wl);
         }
-        let core = &mut self.cores[ci];
-        if let Some((wa, wl)) = core.l2.fill(addr, read.line, false) {
-            self.writeback(wa, wl);
-        }
+        self.fill_l2(ci, addr, read.line, false);
         if !is_pte {
-            let core = &mut self.cores[ci];
-            if let Some((wa, wl)) = core.l1.fill(addr, read.line, write) {
-                self.writeback(wa, wl);
-            }
+            self.fill_l1(ci, addr, read.line, write);
         }
         (read.line, cycles, read.verdict)
     }
 
-    fn writeback(&mut self, addr: PhysAddr, line: Line) {
-        if self.llc.peek(addr).is_some() {
-            self.llc.update(addr, line, true);
-        } else {
-            let ch = self.interleave.channel_of(addr) as usize;
-            self.controllers[ch].write_line(addr, line);
+    /// Fills core `ci`'s L1 under the victim rule ([`cache::fill_l1`]).
+    fn fill_l1(&mut self, ci: usize, addr: PhysAddr, line: Line, dirty: bool) {
+        let core = &mut self.cores[ci];
+        if let Some((wa, wl)) =
+            cache::fill_l1(&mut core.l1, &mut core.l2, &mut self.llc, addr, line, dirty)
+        {
+            self.write_dram(wa, wl);
         }
+    }
+
+    /// Fills core `ci`'s L2 under the victim rule ([`cache::fill_l2`]).
+    fn fill_l2(&mut self, ci: usize, addr: PhysAddr, line: Line, dirty: bool) {
+        if let Some((wa, wl)) =
+            cache::fill_l2(&mut self.cores[ci].l2, &mut self.llc, addr, line, dirty)
+        {
+            self.write_dram(wa, wl);
+        }
+    }
+
+    /// Writes a line leaving the hierarchy to its channel's controller.
+    fn write_dram(&mut self, addr: PhysAddr, line: Line) {
+        let ch = self.interleave.channel_of(addr) as usize;
+        self.controllers[ch].write_line(addr, line);
     }
 
     /// Page walk for core `ci`.
@@ -399,6 +396,8 @@ impl<S: OpSource> SharedSystem<S> {
                 }
             }
             let Some(ci) = next else { break };
+            #[cfg(test)]
+            self.schedule.push(ci);
             self.step(ci);
             self.cores[ci].done += 1;
         }
@@ -421,7 +420,94 @@ pub fn evaluate_bundle_shared(bundle: &Bundle, guard: PtGuardConfig, cfg: Shared
 #[cfg(test)]
 mod tests {
     use super::*;
-    use workloads::multiprog::same_bundles;
+    use oracle::refhier::{level, HierarchyCounts, StackCounts};
+    use oracle::RefHierarchy;
+    use workloads::multiprog::{mix_bundles, same_bundles};
+
+    /// Runs `bundle` on a PT-Guard shared system, replays the same OS
+    /// build and the same per-core op streams, in the order the run
+    /// scheduled them, on the reference hierarchy with one private stack
+    /// per core, and returns both sets of counters.
+    fn fast_and_reference(
+        bundle: &Bundle,
+        cfg: SharedConfig,
+    ) -> (HierarchyCounts, HierarchyCounts) {
+        let mut sys = SharedSystem::new(bundle, Some(PtGuardConfig::default()), cfg);
+        let _ = sys.run();
+        let cores = bundle.workloads.len();
+        let mut reference = RefHierarchy::new(&memsys_config(cores, &cfg), cfg.dram_gb << 30);
+        let roots: Vec<u64> = bundle
+            .workloads
+            .iter()
+            .map(|w| map_workload(&mut reference, *w, 34).root().0)
+            .collect();
+        reference.flush();
+        reference.fresh_caches(cores);
+        for (ci, root) in roots.into_iter().enumerate() {
+            reference.set_root(ci, root, 34);
+        }
+        let mut sources: Vec<TraceGenerator> = bundle
+            .workloads
+            .iter()
+            .enumerate()
+            .map(|(i, w)| TraceGenerator::new(*w, 0x5ca1e + i as u64))
+            .collect();
+        for &ci in &sys.schedule {
+            match sources[ci].next_op() {
+                Op::Compute => {}
+                Op::Load(va) => reference.access(ci, va.as_u64(), false),
+                Op::Store(va) => reference.access(ci, va.as_u64(), true),
+            }
+        }
+        let ctrl = |f: fn(&memsys::controller::ControllerStats) -> u64| {
+            sys.controllers.iter().map(|c| f(&c.stats())).sum()
+        };
+        let fast = HierarchyCounts {
+            stacks: sys
+                .cores
+                .iter()
+                .map(|c| StackCounts::new(c.l1.stats(), c.l2.stats(), c.tlb.stats(), c.mmu.stats()))
+                .collect(),
+            llc: level(sys.llc.stats()),
+            dram_reads: ctrl(|s| s.reads),
+            dram_writes: ctrl(|s| s.writes),
+        };
+        (fast, reference.counts())
+    }
+
+    #[test]
+    fn shared_system_matches_the_reference_hierarchy() {
+        // `exp multicore --trial`'s bundles at its per-core length, one
+        // MIX bundle, and the channels contention bundle on two channels.
+        let cfg = SharedConfig {
+            instructions_per_core: 30_000,
+            ..SharedConfig::default()
+        };
+        let mut cases: Vec<(Bundle, SharedConfig)> = same_bundles(4)
+            .into_iter()
+            .take(4)
+            .map(|b| (b, cfg))
+            .collect();
+        cases.push((mix_bundles(4, 0x3117).swap_remove(0), cfg));
+        let lbm = same_bundles(4)
+            .into_iter()
+            .find(|b| b.name == "SAME-lbm")
+            .unwrap();
+        cases.push((lbm, SharedConfig { channels: 2, ..cfg }));
+        for (bundle, cfg) in &cases {
+            let (fast, reference) = fast_and_reference(bundle, *cfg);
+            assert_eq!(
+                fast, reference,
+                "{} on {} channels",
+                bundle.name, cfg.channels
+            );
+            assert!(
+                fast.stacks.iter().all(|s| s.l1[2] > 0),
+                "{}: no L1 victims",
+                bundle.name
+            );
+        }
+    }
 
     #[test]
     fn shared_model_is_deterministic() {
