@@ -6,11 +6,66 @@ use pagetable::addr::PhysAddr;
 use pagetable::memory::PhysMem;
 
 use crate::geometry::{DramGeometry, RowId};
-
-/// Granularity of sparse backing-store allocation.
-const STORE_PAGE: usize = 4096;
 use crate::rowhammer::{weak_cells_for_row, RowhammerConfig, WeakCell};
 use crate::timing::{ns_to_ps, DramTiming};
+
+/// Bytes per stored line.
+const LINE: u64 = 64;
+/// Lines per store page: one bit each in [`StorePage::present`].
+const PAGE_LINES: u64 = 64;
+/// Bytes per store page.
+const STORE_PAGE: u64 = LINE * PAGE_LINES;
+type Line = [u8; LINE as usize];
+/// Lines a page's line vector grows by when it is full. Growing one line
+/// at a time reallocates and copies the vector on every insert, so each
+/// page-table page (whose 64 lines are all stored) costs 64 reallocations
+/// to build; doubling leaves up to half of a sparse page's capacity
+/// unused. Four lines bound the slack at 192 bytes per page and cut the
+/// reallocations per full page to 16.
+const LINE_GROWTH: usize = 4;
+
+/// One store page: only the lines that hold data, in line order.
+#[derive(Debug, Default)]
+struct StorePage {
+    /// Bit `i` is set when line `i` of the page is stored.
+    present: u64,
+    /// The stored lines. Line `i` sits at the popcount rank of bit `i` in
+    /// `present`: the number of stored lines below it.
+    lines: Vec<Line>,
+}
+
+impl StorePage {
+    /// Where line `line` sits (or would sit) in `lines`.
+    fn rank(&self, line: u64) -> usize {
+        (self.present & ((1u64 << line) - 1)).count_ones() as usize
+    }
+
+    fn has(&self, line: u64) -> bool {
+        self.present >> line & 1 != 0
+    }
+
+    fn get(&self, line: u64) -> Option<&Line> {
+        self.has(line).then(|| &self.lines[self.rank(line)])
+    }
+
+    fn get_mut(&mut self, line: u64) -> Option<&mut Line> {
+        let slot = self.rank(line);
+        self.has(line).then(|| &mut self.lines[slot])
+    }
+
+    /// Line `line`, stored as zeros first if it is absent.
+    fn get_or_insert(&mut self, line: u64) -> &mut Line {
+        let slot = self.rank(line);
+        if !self.has(line) {
+            if self.lines.len() == self.lines.capacity() {
+                self.lines.reserve_exact(LINE_GROWTH);
+            }
+            self.lines.insert(slot, [0; LINE as usize]);
+            self.present |= 1 << line;
+        }
+        &mut self.lines[slot]
+    }
+}
 
 /// How an activation was triggered — the provenance axis the attacker
 /// subsystem reasons over. PThammer's whole point is that `Walk`
@@ -112,8 +167,9 @@ pub struct DramDevice {
     geometry: DramGeometry,
     timing: DramTiming,
     rh: RowhammerConfig,
-    /// Sparse backing store: 4 KB pages allocated on first write/flip.
-    store: HashMap<u64, Box<[u8; STORE_PAGE]>>,
+    /// Sparse backing store, keyed by 4 KB page number. A line is stored
+    /// on its first non-zero write or flip; absent lines read as zero.
+    store: HashMap<u64, StorePage>,
     capacity: u64,
     open_row: Vec<Option<u32>>,
     /// Per-bank time (integer ps) at which the bank finishes its last
@@ -221,6 +277,18 @@ impl DramDevice {
     #[must_use]
     pub fn flips(&self) -> &[FlipRecord] {
         &self.flips
+    }
+
+    /// Lines the backing store holds: each line that a write or a flip
+    /// has ever left with a non-zero byte. A line only ever written with
+    /// zeros reads as zero without being stored. Each stored line costs
+    /// 64 bytes of host memory, so this is the store's footprint.
+    #[must_use]
+    pub fn stored_lines(&self) -> u64 {
+        self.store
+            .values()
+            .map(|page| u64::from(page.present.count_ones()))
+            .sum()
     }
 
     /// Enables or disables the activation tap. Off by default; while off,
@@ -496,7 +564,7 @@ impl DramDevice {
         if is_one != true_cell {
             return;
         }
-        self.store_u8(addr, cur ^ mask);
+        self.store_bytes(addr, &[cur ^ mask]);
         self.stats.total_flips += 1;
         self.flips.push(FlipRecord {
             addr: PhysAddr::new(addr),
@@ -509,41 +577,55 @@ impl DramDevice {
 }
 
 impl DramDevice {
-    fn load_u8(&self, addr: u64) -> u8 {
+    /// The stored line holding byte `addr`, if any.
+    fn line(&self, addr: u64) -> Option<&Line> {
         debug_assert!(addr < self.capacity, "address {addr:#x} beyond capacity");
         self.store
-            .get(&(addr / STORE_PAGE as u64))
-            .map_or(0, |page| page[(addr % STORE_PAGE as u64) as usize])
+            .get(&(addr / STORE_PAGE))
+            .and_then(|page| page.get(addr / LINE % PAGE_LINES))
     }
 
-    fn store_u8(&mut self, addr: u64, value: u8) {
-        debug_assert!(addr < self.capacity, "address {addr:#x} beyond capacity");
-        let page = self
-            .store
-            .entry(addr / STORE_PAGE as u64)
-            .or_insert_with(|| Box::new([0u8; STORE_PAGE]));
-        page[(addr % STORE_PAGE as u64) as usize] = value;
+    /// Copies `bytes`, which must stay inside one line, to `addr`. A write
+    /// that would leave an absent line all zero stores nothing.
+    fn store_bytes(&mut self, addr: u64, bytes: &[u8]) {
+        debug_assert!(addr % LINE + bytes.len() as u64 <= LINE);
+        debug_assert!(
+            addr + bytes.len() as u64 <= self.capacity,
+            "address {addr:#x} beyond capacity"
+        );
+        let (page, line) = (addr / STORE_PAGE, addr / LINE % PAGE_LINES);
+        let dst = if bytes.iter().all(|&b| b == 0) {
+            match self.store.get_mut(&page).and_then(|p| p.get_mut(line)) {
+                Some(dst) => dst,
+                None => return,
+            }
+        } else {
+            self.store.entry(page).or_default().get_or_insert(line)
+        };
+        let off = (addr % LINE) as usize;
+        dst[off..off + bytes.len()].copy_from_slice(bytes);
+    }
+
+    fn load_u8(&self, addr: u64) -> u8 {
+        self.line(addr)
+            .map_or(0, |line| line[(addr % LINE) as usize])
     }
 
     /// Writes `bytes` at `addr` with the effect of one
     /// [`PhysMem::write_u8`] per byte, but — when the span stays inside
-    /// one row and one store page, as every aligned line and word does —
-    /// with a single row decode, weak-cell probe and store-page probe.
+    /// one line, as every aligned line and word does — with a single row
+    /// decode, weak-cell probe and store probe.
     fn write_span(&mut self, addr: u64, bytes: &[u8]) {
         let len = bytes.len() as u64;
         let col = u64::from(self.geometry.column_of(PhysAddr::new(addr)));
-        let off = (addr % STORE_PAGE as u64) as usize;
-        if col + len > u64::from(self.geometry.row_bytes) || off + bytes.len() > STORE_PAGE {
+        if col + len > u64::from(self.geometry.row_bytes) || addr % LINE + len > LINE {
             for (a, &b) in (addr..).zip(bytes) {
                 self.write_u8(PhysAddr::new(a), b);
             }
             return;
         }
-        debug_assert!(
-            addr + len <= self.capacity,
-            "address {addr:#x} beyond capacity"
-        );
-        // A write restores full charge to the cells of every byte written.
+        // A write restores full charge to the cells of every byte written,
+        // whether or not the store keeps the line.
         let row = self.geometry.row_of(PhysAddr::new(addr));
         if let Some(cells) = self.weak_cells.get_mut(&row) {
             for c in cells.iter_mut() {
@@ -552,11 +634,7 @@ impl DramDevice {
                 }
             }
         }
-        let page = self
-            .store
-            .entry(addr / STORE_PAGE as u64)
-            .or_insert_with(|| Box::new([0u8; STORE_PAGE]));
-        page[off..off + bytes.len()].copy_from_slice(bytes);
+        self.store_bytes(addr, bytes);
     }
 }
 
@@ -581,19 +659,13 @@ impl PhysMem for DramDevice {
                 }
             }
         }
-        self.store_u8(addr.as_u64(), value);
+        self.store_bytes(addr.as_u64(), &[value]);
     }
 
     fn read_line(&self, addr: PhysAddr) -> [u8; 64] {
-        // Fast path: a line never crosses a store page.
         let base = addr.line_addr().as_u64();
-        debug_assert!(base + 64 <= self.capacity);
-        let mut out = [0u8; 64];
-        if let Some(page) = self.store.get(&(base / STORE_PAGE as u64)) {
-            let off = (base % STORE_PAGE as u64) as usize;
-            out.copy_from_slice(&page[off..off + 64]);
-        }
-        out
+        debug_assert!(base + LINE <= self.capacity);
+        self.line(base).copied().unwrap_or([0; 64])
     }
 
     fn write_line(&mut self, addr: PhysAddr, line: &[u8; 64]) {
@@ -602,13 +674,13 @@ impl PhysMem for DramDevice {
 
     fn read_u64(&self, addr: PhysAddr) -> u64 {
         let a = addr.as_u64();
-        let off = (a % STORE_PAGE as u64) as usize;
-        if off + 8 > STORE_PAGE {
+        let off = (a % LINE) as usize;
+        if off + 8 > LINE as usize {
             return (0..8).fold(0, |v, i| v | u64::from(self.load_u8(a + i)) << (8 * i));
         }
         debug_assert!(a + 8 <= self.capacity, "address {a:#x} beyond capacity");
-        self.store.get(&(a / STORE_PAGE as u64)).map_or(0, |page| {
-            u64::from_le_bytes(page[off..off + 8].try_into().expect("8-byte slice"))
+        self.line(a).map_or(0, |line| {
+            u64::from_le_bytes(line[off..off + 8].try_into().expect("8-byte slice"))
         })
     }
 
@@ -861,7 +933,7 @@ mod tests {
             let row = victims[rng.gen_range_usize(0, victims.len())];
             let base = fast.geometry().row_base(row).as_u64();
             // Mostly aligned, sometimes an arbitrary byte address, so the
-            // row- and page-crossing fallbacks are driven too.
+            // row- and line-crossing fallbacks are driven too.
             let offset = rng.gen_range_u64(0, row_bytes);
             let offset = if rng.gen_bool(0.2) {
                 offset
