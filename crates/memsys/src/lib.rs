@@ -13,14 +13,21 @@
 //!   [`ptguard::PtGuardEngine`] mounts: DRAM reads/writes flow through the
 //!   engine, the `is_pte` request bit triggers walk-time verification, and
 //!   the `PTECheckFailed` response bit propagates to the core (Figure 5).
-//! * [`system`] — [`system::MemorySystem`], the full hierarchy: virtual
-//!   loads/stores with TLB lookup, hardware page walks, cache traversal,
-//!   and per-access latency in CPU cycles. Two access paths share every
-//!   helper: the blocking path (`load`/`store`) services each access to
-//!   completion, and the pipelined path (`pipe_issue_event`, pumped by
+//! * [`stack`] — [`stack::CoreStack`], one core's private TLB, MMU cache,
+//!   L1D and L2, and the one page walk: a step function that runs an op
+//!   until it completes or misses every cache level, and a resume function
+//!   that takes the DRAM read the miss waited on. The walk's `is_pte` reads
+//!   are where PT-Guard verifies and where `PTECheckFailed` reaches the
+//!   core; the Section IV-E bounds check runs on every entry it reads.
+//! * [`system`] — [`system::MemorySystem`], one core stack over the LLC and
+//!   the channel controllers, with per-access latency in CPU cycles. Its
+//!   two drivers differ only in how they serve a miss: `load`/`store` read
+//!   DRAM inline, and the pipelined path (`pipe_issue_event`, pumped by
 //!   `advance_to_next_event`) keeps a window of ops in flight over
 //!   MSHR-tracked misses and the controller's banked queues (the `mlp` knob
-//!   in [`config::MemSysConfig`]).
+//!   in [`config::MemSysConfig`]). `simx`'s shared multi-core model builds
+//!   one core stack per core around its own LLC and serves misses through
+//!   its per-channel serialisation.
 
 #![warn(missing_docs)]
 
@@ -29,9 +36,11 @@ pub mod config;
 pub mod controller;
 pub mod fullmac;
 pub mod mmucache;
+pub mod stack;
 pub mod system;
 pub mod tlb;
 
 pub use config::MemSysConfig;
 pub use controller::MemoryController;
+pub use stack::CoreStack;
 pub use system::{AccessOutcome, IssueOutcome, MemorySystem, PumpStats};

@@ -1,4 +1,5 @@
-//! The full memory hierarchy: TLB → page walk → caches → controller(s).
+//! The full memory hierarchy: one [`CoreStack`] (TLB → page walk → L1D →
+//! L2) over the LLC and the controller(s).
 //!
 //! The hierarchy fronts one memory controller per channel
 //! ([`MemSysConfig::channels`]): lines are spread across channels by the
@@ -6,18 +7,23 @@
 //! queues independently, and completions retire in deterministic
 //! `(integer-ps finish, channel, request id)` order. With one channel every
 //! path degenerates — bit for bit — to the single-controller model.
+//!
+//! Every access runs the stack's one walk. Two drivers differ only in how
+//! they serve a miss: [`MemorySystem::load`]/[`MemorySystem::store`] read
+//! DRAM inline and return the finished outcome, while
+//! [`MemorySystem::pipe_issue_event`] parks the op on the MSHR file and the
+//! channel's bank queue, and [`MemorySystem::advance_to_next_event`]
+//! resumes it.
 
 use dram::ChannelInterleave;
 use pagetable::addr::{Frame, PhysAddr, VirtAddr};
 use pagetable::memory::PhysMem;
-use pagetable::x86_64::Pte;
-use ptguard::engine::ReadVerdict;
 use ptguard::line::Line;
 
-use crate::cache::{self, Cache};
+use crate::cache::Cache;
 use crate::config::MemSysConfig;
-use crate::controller::{ControllerStats, MemoryController};
-use crate::mmucache::MmuCache;
+use crate::controller::{ControllerStats, DramRead, MemoryController};
+use crate::stack::{Access, CoreStack, Step, Uncore};
 use crate::tlb::Tlb;
 
 /// Outcome of a virtual memory access.
@@ -66,7 +72,7 @@ impl AccessOutcome {
 }
 
 /// Hierarchy-level statistics.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SystemStats {
     /// Demand loads served.
     pub loads: u64,
@@ -80,7 +86,8 @@ pub struct SystemStats {
     pub walk_llc_misses: u64,
     /// PT-Guard integrity exceptions delivered.
     pub integrity_faults: u64,
-    /// High-water mark of MSHR entries (distinct outstanding miss lines).
+    /// High-water mark of MSHR entries (distinct outstanding miss lines;
+    /// a miss served inline holds one).
     pub mshr_hwm: u64,
 }
 
@@ -133,57 +140,11 @@ impl PumpStats {
     }
 }
 
-/// Result of classifying one walk-level PTE (shared by the blocking walk
-/// and the pipelined op state machine).
-enum WalkStep {
-    /// Non-present or out-of-bounds entry at `level`.
-    Fault {
-        /// Walk level of the missing entry.
-        level: usize,
-    },
-    /// The walk terminated with this leaf (TLB already updated).
-    Leaf(Pte),
-    /// Descend into the next table.
-    Descend(Frame),
-}
-
-/// State of one in-flight pipelined memory operation.
-#[derive(Debug, Clone, Copy)]
-enum OpState {
-    /// Walking: about to access the entry of `table` at `level`.
-    Walk {
-        /// Current page-table frame.
-        table: Frame,
-        /// Walk level (3 = PML4 … 0 = PT).
-        level: usize,
-    },
-    /// Suspended on a DRAM read of a walk entry.
-    AwaitWalk {
-        /// Walk level of the suspended access.
-        level: usize,
-        /// The entry's physical address.
-        entry_addr: PhysAddr,
-    },
-    /// Translated: about to access the data line through `leaf`.
-    Data {
-        /// The leaf PTE.
-        leaf: Pte,
-    },
-    /// Suspended on a DRAM read of the data line at `pa`.
-    AwaitData {
-        /// The data line's physical address.
-        pa: PhysAddr,
-    },
-}
-
-/// One in-flight pipelined memory operation.
+/// One op suspended on the MSHR file.
 #[derive(Debug, Clone, Copy)]
 struct PendingOp {
     id: u64,
-    va: VirtAddr,
-    write: bool,
-    cycles: u64,
-    state: OpState,
+    op: Access,
 }
 
 /// One outstanding miss line: the controller request plus every op waiting
@@ -207,15 +168,41 @@ struct MshrEntry {
     merged: Vec<u64>,
 }
 
+/// The levels below the core stack, borrowed for one step: the LLC and
+/// the channel controllers.
+struct Lower<'a> {
+    llc: &'a mut Cache,
+    controller: &'a mut MemoryController,
+    aux: &'a mut [MemoryController],
+    interleave: ChannelInterleave,
+}
+
+impl Lower<'_> {
+    /// The controller serving `addr`.
+    fn ctrl_for(&mut self, addr: PhysAddr) -> &mut MemoryController {
+        match self.interleave.channel_of(addr) as usize {
+            0 => self.controller,
+            c => &mut self.aux[c - 1],
+        }
+    }
+}
+
+impl Uncore for Lower<'_> {
+    fn llc(&mut self) -> &mut Cache {
+        self.llc
+    }
+
+    fn write_line(&mut self, addr: PhysAddr, line: Line) {
+        self.ctrl_for(addr).write_line(addr, line);
+    }
+}
+
 /// The single-core memory system of Table III (N-channel capable).
 #[derive(Debug)]
 pub struct MemorySystem {
     cfg: MemSysConfig,
-    l1d: Cache,
-    l2: Cache,
+    core: CoreStack,
     llc: Cache,
-    tlb: Tlb,
-    mmu: MmuCache,
     /// Channel 0's memory controller (public for device access in
     /// experiments, which run single-channel; use
     /// [`MemorySystem::channel`] to address other channels).
@@ -225,9 +212,7 @@ pub struct MemorySystem {
     aux: Vec<MemoryController>,
     /// The address → channel function shared by every access path.
     interleave: ChannelInterleave,
-    root: Frame,
-    max_phys_bits: u32,
-    stats: SystemStats,
+    mshr_hwm: u64,
     /// Outstanding-miss file of the pipelined path.
     mshr: Vec<MshrEntry>,
     /// Ops suspended on an MSHR entry.
@@ -236,9 +221,9 @@ pub struct MemorySystem {
     completed: Vec<(u64, AccessOutcome)>,
     /// Reusable buffer for one channel's drain in
     /// [`MemorySystem::advance_to_next_event`].
-    drain_buf: Vec<(u64, crate::controller::DramRead)>,
+    drain_buf: Vec<(u64, DramRead)>,
     /// Reusable channel-tagged retire buffer for the cross-channel merge.
-    merge_buf: Vec<(u32, u64, crate::controller::DramRead)>,
+    merge_buf: Vec<(u32, u64, DramRead)>,
     next_op_id: u64,
     /// The event engine: the picosecond each channel's drain was armed
     /// at, if one is armed (at most one per channel).
@@ -286,21 +271,12 @@ impl MemorySystem {
         let interleave = ChannelInterleave::new(u32::try_from(cfg.channels).expect("channels"));
         let controller = controllers.remove(0);
         Self {
-            l1d: Cache::new(cfg.l1d),
-            l2: Cache::new(cfg.l2),
+            core: CoreStack::new(&cfg),
             llc: Cache::new(cfg.llc),
-            tlb: Tlb::new(cfg.tlb_entries),
-            mmu: MmuCache::new(
-                cfg.mmu_cache_entries,
-                cfg.mmu_cache_ways,
-                cfg.mmu_cache_latency_cycles,
-            ),
             controller,
             aux: controllers,
             interleave,
-            root: Frame(0),
-            max_phys_bits: 40,
-            stats: SystemStats::default(),
+            mshr_hwm: 0,
             mshr: Vec::new(),
             pending: Vec::new(),
             completed: Vec::new(),
@@ -312,6 +288,17 @@ impl MemorySystem {
             pump: PumpStats::default(),
             cfg,
         }
+    }
+
+    /// The core stack and the levels below it, borrowed apart.
+    fn split(&mut self) -> (&mut CoreStack, Lower<'_>) {
+        let lower = Lower {
+            llc: &mut self.llc,
+            controller: &mut self.controller,
+            aux: &mut self.aux,
+            interleave: self.interleave,
+        };
+        (&mut self.core, lower)
     }
 
     /// Number of memory channels.
@@ -356,12 +343,6 @@ impl MemorySystem {
         self.interleave.channel_of(addr) as usize
     }
 
-    /// The controller serving `addr`.
-    fn ctrl_for(&mut self, addr: PhysAddr) -> &mut MemoryController {
-        let c = self.chan_of(addr);
-        self.channel_mut(c)
-    }
-
     /// Whether any channel has queued reads.
     fn any_queued_reads(&self) -> bool {
         self.controller.has_queued_reads()
@@ -387,16 +368,16 @@ impl MemorySystem {
     /// Points the walker at a page-table root (CR3) for a machine with
     /// `max_phys_bits` of physical address space.
     pub fn set_root(&mut self, root: Frame, max_phys_bits: u32) {
-        self.root = root;
-        self.max_phys_bits = max_phys_bits;
-        self.tlb.flush();
-        self.mmu.flush();
+        self.core.set_root(root, max_phys_bits);
     }
 
     /// Statistics.
     #[must_use]
     pub fn stats(&self) -> SystemStats {
-        self.stats
+        SystemStats {
+            mshr_hwm: self.mshr_hwm,
+            ..self.core.stats()
+        }
     }
 
     /// Consumes the hierarchy, returning its memory controller — the DRAM
@@ -427,16 +408,22 @@ impl MemorySystem {
         v
     }
 
+    /// The core's private stack.
+    #[must_use]
+    pub fn core(&self) -> &CoreStack {
+        &self.core
+    }
+
     /// The TLB (for assertions in tests).
     #[must_use]
     pub fn tlb(&self) -> &Tlb {
-        &self.tlb
+        self.core.tlb()
     }
 
     /// MMU-cache statistics.
     #[must_use]
     pub fn mmu_stats(&self) -> crate::mmucache::MmuCacheStats {
-        self.mmu.stats()
+        self.core.mmu_stats()
     }
 
     /// Per-level cache statistics `(L1D, L2, LLC)`.
@@ -448,227 +435,47 @@ impl MemorySystem {
         crate::cache::CacheStats,
         crate::cache::CacheStats,
     ) {
-        (self.l1d.stats(), self.l2.stats(), self.llc.stats())
+        let (l1, l2) = self.core.cache_stats();
+        (l1, l2, self.llc.stats())
     }
 
     /// TLB statistics.
     #[must_use]
     pub fn tlb_stats(&self) -> crate::tlb::TlbStats {
-        self.tlb.stats()
+        self.core.tlb_stats()
     }
 
-    /// A demand load from virtual address `va`.
+    /// A demand load from virtual address `va`, its misses served inline.
     pub fn load(&mut self, va: VirtAddr) -> AccessOutcome {
-        self.stats.loads += 1;
         self.access(va, false)
     }
 
-    /// A demand store to virtual address `va`.
+    /// A demand store to virtual address `va`, its misses served inline.
     pub fn store(&mut self, va: VirtAddr) -> AccessOutcome {
-        self.stats.stores += 1;
         self.access(va, true)
     }
 
+    /// Runs one access to completion, reading each miss from DRAM as the
+    /// walk reaches it.
     fn access(&mut self, va: VirtAddr, write: bool) -> AccessOutcome {
-        let mut cycles = self.cfg.tlb_latency_cycles;
-        let leaf = match self.tlb.lookup(va.vpn()) {
-            Some(pte) => pte,
-            None => {
-                self.stats.walks += 1;
-                match self.walk(va, &mut cycles) {
-                    Ok(pte) => pte,
-                    Err(out) => return out,
+        let mut op = Access::new(va, write);
+        let (core, mut lower) = self.split();
+        let mut step = core.step(&mut op, &mut lower);
+        let mut missed = false;
+        let out = loop {
+            match step {
+                Step::Done(out) => break out,
+                Step::Miss { addr, is_pte } => {
+                    missed = true;
+                    let read = lower.ctrl_for(addr).read_line(addr, is_pte);
+                    step = core.resume(&mut op, &read, true, &mut lower);
                 }
             }
         };
-        let pa = leaf.target(va.page_offset());
-        let (_, c, llc_miss, _) = self.line_access(pa, write, false);
-        cycles += c;
-        if llc_miss {
-            self.stats.llc_misses += 1;
+        if missed {
+            self.mshr_hwm = self.mshr_hwm.max(self.mshr.len() as u64 + 1);
         }
-        AccessOutcome::Ok { cycles, llc_miss }
-    }
-
-    /// Hardware page walk with MMU-cache acceleration. Adds latency into
-    /// `cycles`; returns the leaf PTE or a fault outcome.
-    fn walk(&mut self, va: VirtAddr, cycles: &mut u64) -> Result<Pte, AccessOutcome> {
-        let mut table = self.root;
-        for level in (0..4usize).rev() {
-            let entry_addr =
-                PhysAddr::new(table.base().as_u64() + (va.level_index(level) as u64) * 8);
-            let pte = if level > 0 {
-                if let Some(hit) = self.mmu.lookup(entry_addr) {
-                    *cycles += self.mmu.latency_cycles;
-                    hit
-                } else {
-                    let (line, c, llc_miss, verdict) = self.line_access(entry_addr, false, true);
-                    *cycles += c;
-                    if llc_miss {
-                        self.stats.walk_llc_misses += 1;
-                    }
-                    if verdict == ReadVerdict::CheckFailed {
-                        self.stats.integrity_faults += 1;
-                        return Err(AccessOutcome::PteCheckFailed {
-                            cycles: *cycles,
-                            level,
-                        });
-                    }
-                    let pte = Pte::from_raw(line.word(entry_addr.line_offset() / 8));
-                    self.mmu.insert(entry_addr, pte);
-                    pte
-                }
-            } else {
-                let (line, c, llc_miss, verdict) = self.line_access(entry_addr, false, true);
-                *cycles += c;
-                if llc_miss {
-                    self.stats.walk_llc_misses += 1;
-                }
-                if verdict == ReadVerdict::CheckFailed {
-                    self.stats.integrity_faults += 1;
-                    return Err(AccessOutcome::PteCheckFailed {
-                        cycles: *cycles,
-                        level,
-                    });
-                }
-                Pte::from_raw(line.word(entry_addr.line_offset() / 8))
-            };
-            match self.classify_pte(va, level, pte) {
-                WalkStep::Fault { level } => {
-                    return Err(AccessOutcome::PageFault {
-                        cycles: *cycles,
-                        level,
-                    })
-                }
-                WalkStep::Leaf(leaf) => return Ok(leaf),
-                WalkStep::Descend(next) => table = next,
-            }
-        }
-        unreachable!("level 0 returns");
-    }
-
-    /// Classifies one walk-level PTE: fault, leaf (TLB inserted, huge pages
-    /// splintered to 4 KB granularity), or descend. Shared verbatim by the
-    /// blocking walk and the pipelined resume path.
-    fn classify_pte(&mut self, va: VirtAddr, level: usize, pte: Pte) -> WalkStep {
-        let max_frame = 1u64 << (self.max_phys_bits - 12);
-        if !pte.present() {
-            return WalkStep::Fault { level };
-        }
-        if pte.frame().0 >= max_frame {
-            // The OS-visible bounds check of Section IV-E.
-            return WalkStep::Fault { level };
-        }
-        if level == 0 {
-            self.tlb.insert(va.vpn(), pte);
-            return WalkStep::Leaf(pte);
-        }
-        if level == 1 && pte.huge_page() {
-            // 2 MB leaf: splinter into a 4 KB-granular TLB entry so the
-            // downstream address math stays uniform.
-            let mut splinter = pte;
-            splinter.set_frame(Frame((pte.frame().0 & !0x1ff) | va.pt_index() as u64));
-            let splinter = Pte::from_raw(splinter.raw() & !pagetable::x86_64::bits::HUGE_PAGE);
-            self.tlb.insert(va.vpn(), splinter);
-            return WalkStep::Leaf(splinter);
-        }
-        WalkStep::Descend(pte.frame())
-    }
-
-    /// Core line-access path: L1 → L2 → LLC → controller.
-    ///
-    /// Returns `(line, cycles, llc_miss, verdict)`. Walk accesses
-    /// (`is_pte`) skip the L1 and are installed into L2/LLC, mirroring
-    /// hardware walkers.
-    fn line_access(
-        &mut self,
-        addr: PhysAddr,
-        write: bool,
-        is_pte: bool,
-    ) -> (Line, u64, bool, ReadVerdict) {
-        match self.probe_caches(addr, write, is_pte) {
-            Ok((line, cycles)) => (line, cycles, false, ReadVerdict::Forwarded),
-            Err(mut cycles) => {
-                let read = self.ctrl_for(addr).read_line(addr, is_pte);
-                cycles += read.latency_cycles;
-                if read.verdict == ReadVerdict::CheckFailed {
-                    // The line is not installed anywhere (Section IV-F).
-                    return (read.line, cycles, true, read.verdict);
-                }
-                self.install_fill(addr, read.line, write, is_pte);
-                (read.line, cycles, true, read.verdict)
-            }
-        }
-    }
-
-    /// Probes L1 → L2 → LLC. On a hit, performs the usual upward fills /
-    /// store-dirtying and returns the line plus probe cycles; on a full
-    /// miss, returns the accumulated probe cycles — the caller either reads
-    /// DRAM inline (blocking path) or suspends on the pipeline.
-    fn probe_caches(
-        &mut self,
-        addr: PhysAddr,
-        write: bool,
-        is_pte: bool,
-    ) -> Result<(Line, u64), u64> {
-        let mut cycles = 0u64;
-        // The L1 is probed even for walk accesses (hardware walkers are
-        // coherent with the data cache); walk fills go into L2/LLC only.
-        cycles += self.l1d.latency_cycles;
-        if let Some(line) = self.l1d.lookup(addr) {
-            if write && !is_pte {
-                // A demand store that hits: the line's data is about to
-                // change, so dirty it now (lookup itself never dirties).
-                self.l1d.update(addr, line, true);
-            }
-            return Ok((line, cycles));
-        }
-        cycles += self.l2.latency_cycles;
-        if let Some(line) = self.l2.lookup(addr) {
-            if !is_pte {
-                self.fill_level(0, addr, line, write);
-            }
-            return Ok((line, cycles));
-        }
-        cycles += self.llc.latency_cycles;
-        if let Some(line) = self.llc.lookup(addr) {
-            self.fill_level(1, addr, line, false);
-            if !is_pte {
-                self.fill_level(0, addr, line, write);
-            }
-            return Ok((line, cycles));
-        }
-        Err(cycles)
-    }
-
-    /// Installs a DRAM fill into LLC → L2 (→ L1 for demand accesses); L1
-    /// and L2 victims follow the victim rule ([`Self::fill_level`]), an
-    /// LLC victim goes to DRAM. Shared by the blocking miss path and the
-    /// pipelined resume path.
-    fn install_fill(&mut self, addr: PhysAddr, line: Line, write: bool, is_pte: bool) {
-        if let Some((wa, wl)) = self.llc.fill(addr, line, false) {
-            self.ctrl_for(wa).write_line(wa, wl);
-        }
-        self.fill_level(1, addr, line, false);
-        if !is_pte {
-            self.fill_level(0, addr, line, write);
-        }
-    }
-
-    /// Fills `addr` into cache level `level` (0 = L1D, 1 = L2) under the
-    /// victim rule ([`cache::fill_l1`] / [`cache::fill_l2`]), writing a line
-    /// that leaves the hierarchy to DRAM (off the critical path). The one
-    /// fill/eviction helper both access paths share.
-    fn fill_level(&mut self, level: usize, addr: PhysAddr, line: Line, dirty: bool) {
-        let (l1, l2, llc) = (&mut self.l1d, &mut self.l2, &mut self.llc);
-        let to_dram = match level {
-            0 => cache::fill_l1(l1, l2, llc, addr, line, dirty),
-            1 => cache::fill_l2(l2, llc, addr, line, dirty),
-            _ => unreachable!("only L1D and L2 fill through fill_level"),
-        };
-        if let Some((wa, wl)) = to_dram {
-            self.ctrl_for(wa).write_line(wa, wl);
-        }
+        out
     }
 
     /// Writes every dirty line back to DRAM (through PT-Guard) and clears
@@ -697,18 +504,10 @@ impl MemorySystem {
             self.pending.is_empty(),
             "every pending op waits on a queued read"
         );
-        // L1 drains into the L2 first: the L2 may hold an older dirty copy
-        // of the same line, which must not reach DRAM last.
-        for (a, l) in self.l1d.drain_dirty() {
-            self.fill_level(1, a, l, true);
-        }
-        for (a, l) in self.l2.drain_dirty() {
-            if let Some((a, l)) = cache::retire_l2(&mut self.llc, a, l) {
-                self.ctrl_for(a).write_line(a, l);
-            }
-        }
-        for (a, l) in self.llc.drain_dirty() {
-            self.ctrl_for(a).write_line(a, l);
+        let (core, mut lower) = self.split();
+        core.flush(&mut lower);
+        for (a, l) in lower.llc.drain_dirty() {
+            lower.write_line(a, l);
         }
     }
 
@@ -716,55 +515,38 @@ impl MemorySystem {
     /// page-table pages — used after direct DRAM manipulation in
     /// experiments (hammering bypasses the coherent path).
     pub fn invalidate_translation_state(&mut self) {
-        self.tlb.flush();
-        self.mmu.flush();
+        self.core.invalidate_translations();
     }
 
     /// Invalidates one line everywhere (without writeback).
     pub fn invalidate_line(&mut self, addr: PhysAddr) {
-        let _ = self.l1d.invalidate(addr);
-        let _ = self.l2.invalidate(addr);
+        self.core.invalidate_line(addr);
         let _ = self.llc.invalidate(addr);
+    }
+
+    /// The line holding `addr` as the core sees it: cached copies win over
+    /// DRAM, which is read untimed.
+    fn func_line(&mut self, addr: PhysAddr) -> Line {
+        match self.core.peek(addr).or_else(|| self.llc.peek(addr)) {
+            Some(line) => line,
+            None => self.split().1.ctrl_for(addr).read_line(addr, false).line,
+        }
     }
 
     /// Functional, untimed u64 read at a physical address, through the
     /// cache hierarchy (caches win over DRAM).
     #[must_use]
     pub fn func_read_u64(&mut self, addr: PhysAddr) -> u64 {
-        let line = match self
-            .l1d
-            .peek(addr)
-            .or_else(|| self.l2.peek(addr))
-            .or_else(|| self.llc.peek(addr))
-        {
-            Some(line) => line,
-            None => self.ctrl_for(addr).read_line(addr, false).line,
-        };
-        line.word(addr.line_offset() / 8)
+        self.func_line(addr).word(addr.line_offset() / 8)
     }
 
     /// Functional, untimed u64 write at a physical address: read-modify-
     /// write through the hierarchy with write-allocate into the L1.
     pub fn func_write_u64(&mut self, addr: PhysAddr, value: u64) {
-        let mut line = match self
-            .l1d
-            .peek(addr)
-            .or_else(|| self.l2.peek(addr))
-            .or_else(|| self.llc.peek(addr))
-        {
-            Some(line) => line,
-            None => self.ctrl_for(addr).read_line(addr, false).line,
-        };
+        let mut line = self.func_line(addr);
         line.set_word(addr.line_offset() / 8, value);
-        if self.l1d.peek(addr).is_some() {
-            self.l1d.update(addr, line, true);
-        } else if self.l2.peek(addr).is_some() {
-            self.l2.update(addr, line, true);
-        } else if self.llc.peek(addr).is_some() {
-            self.llc.update(addr, line, true);
-        } else {
-            self.fill_level(0, addr, line, true);
-        }
+        let (core, mut lower) = self.split();
+        core.write_line(addr, line, &mut lower);
     }
 
     /// Issues a demand access on the event-driven pipeline, resolving
@@ -772,66 +554,24 @@ impl MemorySystem {
     ///
     /// The op runs as far as the caches allow. An access that completes
     /// without a DRAM read (a TLB and cache hit, or a walk whose lines all
-    /// hit) returns [`IssueOutcome::Done`] and never consumes an op id; a
-    /// TLB hit that also hits the caches skips the op machinery entirely.
+    /// hit) returns [`IssueOutcome::Done`] and never consumes an op id.
     /// A miss suspends on the MSHR file and returns
     /// [`IssueOutcome::Pending`] with its id; [`Self::advance_to_next_event`]
     /// resumes it, and its outcome is collected with
     /// [`Self::pipe_drain_completed`]. Ids stay monotonic across the ops
     /// that suspend, which is all the MSHR merge order needs.
     pub fn pipe_issue_event(&mut self, va: VirtAddr, write: bool) -> IssueOutcome {
-        if write {
-            self.stats.stores += 1;
-        } else {
-            self.stats.loads += 1;
-        }
-        if let Some(leaf) = self.tlb.lookup(va.vpn()) {
-            // Translated without a walk: probe the hierarchy directly.
-            let pa = leaf.target(va.page_offset());
-            match self.probe_caches(pa, write, false) {
-                Ok((_, c)) => {
-                    return IssueOutcome::Done(AccessOutcome::Ok {
-                        cycles: self.cfg.tlb_latency_cycles + c,
-                        llc_miss: false,
-                    });
-                }
-                Err(c) => {
-                    let id = self.next_op_id;
-                    self.next_op_id += 1;
-                    let op = PendingOp {
-                        id,
-                        va,
-                        write,
-                        cycles: self.cfg.tlb_latency_cycles + c,
-                        state: OpState::AwaitData { pa },
-                    };
-                    self.suspend(op, pa, false);
-                    return IssueOutcome::Pending(id);
-                }
+        let mut op = Access::new(va, write);
+        let (core, mut lower) = self.split();
+        match core.step(&mut op, &mut lower) {
+            Step::Done(out) => IssueOutcome::Done(out),
+            Step::Miss { addr, is_pte } => {
+                let id = self.next_op_id;
+                self.next_op_id += 1;
+                self.suspend(PendingOp { id, op }, addr, is_pte);
+                IssueOutcome::Pending(id)
             }
         }
-        self.stats.walks += 1;
-        let id = self.next_op_id;
-        self.next_op_id += 1;
-        let op = PendingOp {
-            id,
-            va,
-            write,
-            cycles: self.cfg.tlb_latency_cycles,
-            state: OpState::Walk {
-                table: self.root,
-                level: 3,
-            },
-        };
-        self.drive(op);
-        // `drive` either suspended the op or pushed its outcome last.
-        if let Some(&(cid, out)) = self.completed.last() {
-            if cid == id {
-                self.completed.pop();
-                return IssueOutcome::Done(out);
-            }
-        }
-        IssueOutcome::Pending(id)
     }
 
     /// Pumps the event engine one round: jumps virtual time to the latest
@@ -912,7 +652,7 @@ impl MemorySystem {
     /// Retires one completed read: pops its MSHR entry and resumes every
     /// waiter (the primary installs the fill, merged waiters only collect
     /// the latency).
-    fn resolve_completion(&mut self, ch: u32, req_id: u64, read: &crate::controller::DramRead) {
+    fn resolve_completion(&mut self, ch: u32, req_id: u64, read: &DramRead) {
         let Some(pos) = self
             .mshr
             .iter()
@@ -930,8 +670,12 @@ impl MemorySystem {
                 .iter()
                 .position(|p| p.id == op_id)
                 .expect("MSHR waiter must be pending");
-            let op = self.pending.remove(pos);
-            self.resume(op, read, i == 0);
+            let mut pending = self.pending.remove(pos);
+            let (core, mut lower) = self.split();
+            match core.resume(&mut pending.op, read, i == 0, &mut lower) {
+                Step::Done(out) => self.completed.push((op_id, out)),
+                Step::Miss { addr, is_pte } => self.suspend(pending, addr, is_pte),
+            }
         }
     }
 
@@ -968,89 +712,6 @@ impl MemorySystem {
         out.append(&mut self.completed);
     }
 
-    /// Runs `op` until it completes or suspends on a miss.
-    fn drive(&mut self, mut op: PendingOp) {
-        loop {
-            match op.state {
-                OpState::Walk { table, level } => {
-                    let entry_addr = PhysAddr::new(
-                        table.base().as_u64() + (op.va.level_index(level) as u64) * 8,
-                    );
-                    let mmu_hit = if level > 0 {
-                        self.mmu.lookup(entry_addr)
-                    } else {
-                        None
-                    };
-                    let pte = if let Some(hit) = mmu_hit {
-                        op.cycles += self.mmu.latency_cycles;
-                        hit
-                    } else {
-                        match self.probe_caches(entry_addr, false, true) {
-                            Ok((line, c)) => {
-                                op.cycles += c;
-                                let pte = Pte::from_raw(line.word(entry_addr.line_offset() / 8));
-                                if level > 0 {
-                                    self.mmu.insert(entry_addr, pte);
-                                }
-                                pte
-                            }
-                            Err(c) => {
-                                op.cycles += c;
-                                op.state = OpState::AwaitWalk { level, entry_addr };
-                                self.suspend(op, entry_addr, true);
-                                return;
-                            }
-                        }
-                    };
-                    match self.classify_pte(op.va, level, pte) {
-                        WalkStep::Fault { level } => {
-                            self.completed.push((
-                                op.id,
-                                AccessOutcome::PageFault {
-                                    cycles: op.cycles,
-                                    level,
-                                },
-                            ));
-                            return;
-                        }
-                        WalkStep::Leaf(leaf) => op.state = OpState::Data { leaf },
-                        WalkStep::Descend(next) => {
-                            op.state = OpState::Walk {
-                                table: next,
-                                level: level - 1,
-                            }
-                        }
-                    }
-                }
-                OpState::Data { leaf } => {
-                    let pa = leaf.target(op.va.page_offset());
-                    match self.probe_caches(pa, op.write, false) {
-                        Ok((_, c)) => {
-                            op.cycles += c;
-                            self.completed.push((
-                                op.id,
-                                AccessOutcome::Ok {
-                                    cycles: op.cycles,
-                                    llc_miss: false,
-                                },
-                            ));
-                            return;
-                        }
-                        Err(c) => {
-                            op.cycles += c;
-                            op.state = OpState::AwaitData { pa };
-                            self.suspend(op, pa, false);
-                            return;
-                        }
-                    }
-                }
-                OpState::AwaitWalk { .. } | OpState::AwaitData { .. } => {
-                    unreachable!("suspended ops resume through advance_to_next_event")
-                }
-            }
-        }
-    }
-
     /// Parks `op` on the MSHR entry for `addr`'s line, creating the entry —
     /// and queueing the DRAM read — if this is the line's first miss.
     fn suspend(&mut self, op: PendingOp, addr: PhysAddr, is_pte: bool) {
@@ -1072,7 +733,7 @@ impl MemorySystem {
                 primary: op.id,
                 merged: Vec::new(),
             });
-            self.stats.mshr_hwm = self.stats.mshr_hwm.max(self.mshr.len() as u64);
+            self.mshr_hwm = self.mshr_hwm.max(self.mshr.len() as u64);
             // First outstanding read on this channel: arm its drain at
             // the channel device's current time.
             if self.armed[ch].is_none() {
@@ -1081,85 +742,6 @@ impl MemorySystem {
             }
         }
         self.pending.push(op);
-    }
-
-    /// Resumes a suspended op with its DRAM read. The primary waiter
-    /// installs the fill; merged waiters only collect the latency (and, for
-    /// stores, dirty the installed line).
-    fn resume(&mut self, mut op: PendingOp, read: &crate::controller::DramRead, primary: bool) {
-        op.cycles += read.latency_cycles;
-        match op.state {
-            OpState::AwaitWalk { level, entry_addr } => {
-                self.stats.walk_llc_misses += 1;
-                if read.verdict == ReadVerdict::CheckFailed {
-                    self.stats.integrity_faults += 1;
-                    self.completed.push((
-                        op.id,
-                        AccessOutcome::PteCheckFailed {
-                            cycles: op.cycles,
-                            level,
-                        },
-                    ));
-                    return;
-                }
-                if primary {
-                    self.install_fill(entry_addr, read.line, false, true);
-                }
-                let pte = Pte::from_raw(read.line.word(entry_addr.line_offset() / 8));
-                if level > 0 {
-                    self.mmu.insert(entry_addr, pte);
-                }
-                match self.classify_pte(op.va, level, pte) {
-                    WalkStep::Fault { level } => {
-                        self.completed.push((
-                            op.id,
-                            AccessOutcome::PageFault {
-                                cycles: op.cycles,
-                                level,
-                            },
-                        ));
-                    }
-                    WalkStep::Leaf(leaf) => {
-                        op.state = OpState::Data { leaf };
-                        self.drive(op);
-                    }
-                    WalkStep::Descend(next) => {
-                        op.state = OpState::Walk {
-                            table: next,
-                            level: level - 1,
-                        };
-                        self.drive(op);
-                    }
-                }
-            }
-            OpState::AwaitData { pa } => {
-                self.stats.llc_misses += 1;
-                // The demand path consumes the line whatever the verdict
-                // (matching the blocking path, which ignores it for data),
-                // but a failed check is never installed (Section IV-F).
-                if read.verdict != ReadVerdict::CheckFailed {
-                    if primary {
-                        self.install_fill(pa, read.line, op.write, false);
-                    } else if op.write {
-                        // Merged store: the primary installed the line
-                        // (possibly clean); dirty it like a store hit.
-                        if let Some(line) = self.l1d.peek(pa) {
-                            self.l1d.update(pa, line, true);
-                        }
-                    }
-                }
-                self.completed.push((
-                    op.id,
-                    AccessOutcome::Ok {
-                        cycles: op.cycles,
-                        llc_miss: true,
-                    },
-                ));
-            }
-            OpState::Walk { .. } | OpState::Data { .. } => {
-                unreachable!("only suspended ops resume")
-            }
-        }
     }
 }
 
@@ -1196,13 +778,7 @@ impl PhysMem for OsPort<'_> {
         // PhysMem::read_u64 takes &self; route through an unsafe-free
         // workaround: peek caches, fall back to an *untimed functional*
         // device read of the stripped line.
-        if let Some(line) = self
-            .sys
-            .l1d
-            .peek(addr)
-            .or_else(|| self.sys.l2.peek(addr))
-            .or_else(|| self.sys.llc.peek(addr))
-        {
+        if let Some(line) = self.sys.core.peek(addr).or_else(|| self.sys.llc.peek(addr)) {
             return line.word(addr.line_offset() / 8);
         }
         // Functional DRAM read: strip a verified MAC like the read path
@@ -1554,15 +1130,28 @@ mod tests {
         }
     }
 
+    /// A demand read of the line at physical `addr`: the stack's probe,
+    /// then a DRAM read and fill on a miss.
+    fn line_access(sys: &mut MemorySystem, addr: PhysAddr) {
+        let (core, mut lower) = sys.split();
+        if core.probe(addr, false, false, &mut lower).is_err() {
+            let read = lower.ctrl_for(addr).read_line(addr, false);
+            core.install_fill(addr, read.line, false, false, &mut lower);
+        }
+    }
+
     /// Loads `ways` more lines into `addr`'s L1 set, pushing `addr` out of
     /// the L1 (they spread over several L2 sets, so the L2 keeps it).
     fn evict_from_l1(sys: &mut MemorySystem, addr: PhysAddr) {
         let cfg = sys.config().l1d;
         let stride = (cfg.sets() * 64) as u64;
         for i in 1..=cfg.ways as u64 {
-            let _ = sys.line_access(PhysAddr::new(addr.as_u64() + i * stride), false, false);
+            line_access(sys, PhysAddr::new(addr.as_u64() + i * stride));
         }
-        assert!(sys.l1d.peek(addr).is_none(), "{addr:?} still in the L1");
+        assert!(
+            sys.core.l1d.peek(addr).is_none(),
+            "{addr:?} still in the L1"
+        );
     }
 
     #[test]
@@ -1573,8 +1162,8 @@ mod tests {
         // later read returned.
         let mut sys = system(true);
         let a = PhysAddr::new(0x10_0000);
-        let _ = sys.line_access(a, false, false);
-        assert!(sys.l2.peek(a).is_some());
+        line_access(&mut sys, a);
+        assert!(sys.core.l2.peek(a).is_some());
         sys.func_write_u64(a, 0xdead_beef);
         evict_from_l1(&mut sys, a);
         assert_eq!(sys.func_read_u64(a), 0xdead_beef);
@@ -1585,10 +1174,10 @@ mod tests {
     fn flush_writes_the_newer_l1_copy_over_the_older_l2_copy() {
         let mut sys = system(false);
         let a = PhysAddr::new(0x20_0000);
-        let _ = sys.line_access(a, false, false);
+        line_access(&mut sys, a);
         evict_from_l1(&mut sys, a);
         sys.func_write_u64(a, 1); // the L2 holds a dirty 1
-        let _ = sys.line_access(a, false, false);
+        line_access(&mut sys, a);
         sys.func_write_u64(a, 2); // the L1 holds a dirty 2
         sys.flush_caches();
         assert_eq!(sys.controller.device().read_u64(a), 2);

@@ -25,9 +25,7 @@
 use std::collections::BTreeMap;
 
 use memsys::cache::CacheStats;
-use memsys::mmucache::MmuCacheStats;
-use memsys::tlb::TlbStats;
-use memsys::{MemSysConfig, MemorySystem};
+use memsys::{CoreStack, MemSysConfig, MemorySystem};
 use pagetable::addr::PhysAddr;
 use pagetable::memory::PhysMem;
 use pagetable::x86_64::Pte;
@@ -53,9 +51,11 @@ pub struct StackCounts {
 }
 
 impl StackCounts {
-    /// Packs the fast structures' statistics.
+    /// Packs a fast core stack's statistics.
     #[must_use]
-    pub fn new(l1: CacheStats, l2: CacheStats, tlb: TlbStats, mmu: MmuCacheStats) -> Self {
+    pub fn of(stack: &CoreStack) -> Self {
+        let (l1, l2) = stack.cache_stats();
+        let (tlb, mmu) = (stack.tlb_stats(), stack.mmu_stats());
         Self {
             l1: level(l1),
             l2: level(l2),
@@ -88,11 +88,10 @@ impl HierarchyCounts {
     /// The counters of a single-core [`MemorySystem`].
     #[must_use]
     pub fn of_system(sys: &MemorySystem) -> Self {
-        let (l1, l2, llc) = sys.cache_stats();
         let ctrl = sys.controller_stats_total();
         Self {
-            stacks: vec![StackCounts::new(l1, l2, sys.tlb_stats(), sys.mmu_stats())],
-            llc: level(llc),
+            stacks: vec![StackCounts::of(sys.core())],
+            llc: level(sys.cache_stats().2),
             dram_reads: ctrl.reads,
             dram_writes: ctrl.writes,
         }

@@ -12,6 +12,9 @@
 //! * [`multicore`] — the Section VII-C model: per-core private L1/L2 over a
 //!   contended shared LLC/DRAM, with an out-of-order overlap factor, used
 //!   for the SPEC-SAME/MIX bundles.
+//! * [`shared`] — the derived-contention cross-check: one
+//!   [`memsys::CoreStack`] per core around one LLC, misses serialised on
+//!   their DRAM channel.
 //! * [`source`] — the [`source::OpSource`] abstraction: cores execute from
 //!   either a live [`workloads::tracegen::TraceGenerator`] or a recorded
 //!   binary trace ([`trace::TraceReader`]), interchangeably.

@@ -1,13 +1,14 @@
 //! Single-core simulation driver.
 //!
-//! Two drivers share one machine model: [`run_blocking`] executes each
-//! memory operation to completion (the pre-pipeline model, kept as the
-//! byte-identity reference), while [`run`] lets up to
-//! [`MemSysConfig::mlp`] operations wait on DRAM at once against the
-//! pipelined memory system. With `mlp = 1` (the default) the windowed
-//! driver retires each op before the next instruction issues and
-//! reproduces the blocking driver's cycle count and cache state bit for
-//! bit.
+//! Two drivers run the same machine and the same page walk
+//! ([`memsys::CoreStack`]); they differ only in how a miss is served.
+//! [`run_blocking`] serves every miss inline (`MemorySystem::load` /
+//! `store` read DRAM where the walk reaches it), while [`run`] issues into
+//! the pipelined memory system, where up to [`MemSysConfig::mlp`]
+//! operations wait on the banked controller queues at once and the event
+//! pump resumes them. With `mlp = 1` (the default) the windowed driver
+//! retires each op before the next instruction issues and reproduces the
+//! inline driver's cycle count, cache state and counters bit for bit.
 
 use dram::{DramDevice, DramGeometry, DramTiming, RowhammerConfig};
 use memsys::system::OsPort;
@@ -272,10 +273,10 @@ pub(crate) fn run_on<S: OpSource>(
     )
 }
 
-/// Runs `instructions` on a built machine with the legacy fully-blocking
-/// core: every memory operation completes inline before the next
-/// instruction. Kept as the differential reference for the `mlp = 1`
-/// byte-identity tests.
+/// Runs `instructions` on a built machine with every miss served inline:
+/// each memory operation completes before the next instruction. The
+/// differential reference that the queued service of [`run`] at `mlp = 1`
+/// must match byte for byte.
 pub fn run_blocking<S: OpSource>(machine: &mut Machine<S>, instructions: u64) -> RunResult {
     let mut cycles = 0u64;
     let stats_before = machine.sys.stats();

@@ -2,29 +2,28 @@
 //!
 //! Unlike [`crate::multicore`] — which approximates contention with a DRAM
 //! latency multiplier, as the paper's SE-mode methodology does — this model
-//! *derives* contention: four cores with private L1/L2/TLB/MMU-cache stacks
-//! share one LLC and one or more DRAM channels, and requests that overlap
-//! in time queue behind each other at their line's channel (lines spread by
-//! the [`ChannelInterleave`]). Each core is an O3-overlap in-order pipeline
-//! as in the per-core model. Core pipelines run in integer milli-cycles;
-//! the channel serialization point runs in integer picoseconds — the same
-//! timeline the DRAM devices and the event pump use — with a single
-//! rounding point per request ([`clock::millicycles_to_ps`]), so
-//! interleavings and totals are exact at any horizon.
+//! *derives* contention: four cores, each a [`memsys::CoreStack`] (private
+//! TLB, MMU cache, L1D and L2, and the one page walk), share one LLC and one
+//! or more DRAM channels, and requests that overlap in time queue behind
+//! each other at their line's channel (lines spread by the
+//! [`ChannelInterleave`]). A miss is served inline once its channel is
+//! free. Each core is an O3-overlap in-order pipeline as in the per-core
+//! model. Core pipelines run in integer milli-cycles; the channel
+//! serialization point runs in integer picoseconds — the same timeline the
+//! DRAM devices and the event pump use — with a single rounding point per
+//! request ([`clock::millicycles_to_ps`]), so interleavings and totals are
+//! exact at any horizon.
 //!
 //! The two models bracket the paper's result; the `multicore` experiment
 //! reports both.
 
 use dram::{ChannelInterleave, DramDevice, DramGeometry, DramTiming, RowhammerConfig};
-use memsys::cache::{self, Cache};
+use memsys::cache::Cache;
 use memsys::config::clock;
-use memsys::mmucache::MmuCache;
+use memsys::stack::{Access, Step, Uncore};
 use memsys::system::OsPort;
-use memsys::tlb::Tlb;
-use memsys::{MemSysConfig, MemoryController, MemorySystem};
-use pagetable::addr::{Frame, PhysAddr, VirtAddr};
-use pagetable::x86_64::{bits, Pte};
-use ptguard::engine::ReadVerdict;
+use memsys::{CoreStack, MemSysConfig, MemoryController, MemorySystem};
+use pagetable::addr::PhysAddr;
 use ptguard::line::Line;
 use ptguard::{PtGuardConfig, PtGuardEngine};
 use workloads::multiprog::Bundle;
@@ -61,17 +60,33 @@ impl Default for SharedConfig {
     }
 }
 
-/// One core's private front-end.
-struct CoreStack<S: OpSource> {
-    l1: Cache,
-    l2: Cache,
-    tlb: Tlb,
-    mmu: MmuCache,
+/// One core: its private memory stack, its instruction source and its
+/// pipeline clock.
+struct Core<S: OpSource> {
+    stack: CoreStack,
     source: S,
-    root: Frame,
     /// Local time in milli-cycles (the core's pipeline clock).
     now_mc: u64,
     done: u64,
+}
+
+/// What the cores share: the LLC and one controller per channel.
+struct Shared {
+    llc: Cache,
+    /// One controller per channel, indexed by [`ChannelInterleave`] output.
+    controllers: Vec<MemoryController>,
+    interleave: ChannelInterleave,
+}
+
+impl Uncore for Shared {
+    fn llc(&mut self) -> &mut Cache {
+        &mut self.llc
+    }
+
+    fn write_line(&mut self, addr: PhysAddr, line: Line) {
+        let ch = self.interleave.channel_of(addr) as usize;
+        self.controllers[ch].write_line(addr, line);
+    }
 }
 
 /// The shared back-end plus per-core stacks.
@@ -80,11 +95,8 @@ struct CoreStack<S: OpSource> {
 /// default; trace replay plugs in the same way as for
 /// [`crate::Machine`]).
 pub struct SharedSystem<S: OpSource = TraceGenerator> {
-    cores: Vec<CoreStack<S>>,
-    llc: Cache,
-    /// One controller per channel, indexed by [`ChannelInterleave`] output.
-    controllers: Vec<MemoryController>,
-    interleave: ChannelInterleave,
+    cores: Vec<Core<S>>,
+    shared: Shared,
     cfg: SharedConfig,
     /// Per-channel serialization point, in integer picoseconds (the same
     /// timeline as the DRAM devices behind the controllers).
@@ -95,10 +107,14 @@ pub struct SharedSystem<S: OpSource = TraceGenerator> {
     occupancy_ps: u128,
     /// Core clock in kHz (converts milli-cycles ↔ picoseconds).
     core_khz: u64,
+    /// Cycles a line spends probing L1, L2 and the LLC before it misses.
+    probe_cycles: u64,
     /// DRAM requests that waited on their channel.
     pub queued_requests: u64,
     /// Total DRAM requests.
     pub dram_requests: u64,
+    /// Ops that ended in a page fault or an integrity exception.
+    pub faults: u64,
     /// The core of every step, in execution order (for the reference
     /// check, which replays the same interleaving).
     #[cfg(test)]
@@ -163,24 +179,22 @@ impl<S: OpSource> SharedSystem<S> {
         // Build each core's address space through a scratch hierarchy so PTE
         // lines are MAC'd in DRAM, then steal the controllers back.
         let mut sys = MemorySystem::new_multi(mem_cfg, controllers);
-        let mut cores = Vec::new();
-        for (w, source) in bundle.workloads.iter().zip(sources) {
-            let space = map_workload(&mut OsPort::new(&mut sys), *w, 34);
-            cores.push(CoreStack {
-                l1: Cache::new(mem_cfg.l1d),
-                l2: Cache::new(mem_cfg.l2),
-                tlb: Tlb::new(mem_cfg.tlb_entries),
-                mmu: MmuCache::new(
-                    mem_cfg.mmu_cache_entries,
-                    mem_cfg.mmu_cache_ways,
-                    mem_cfg.mmu_cache_latency_cycles,
-                ),
-                source,
-                root: space.root(),
-                now_mc: 0,
-                done: 0,
-            });
-        }
+        let cores = bundle
+            .workloads
+            .iter()
+            .zip(sources)
+            .map(|(w, source)| {
+                let space = map_workload(&mut OsPort::new(&mut sys), *w, 34);
+                let mut stack = CoreStack::new(&mem_cfg);
+                stack.set_root(space.root(), 34);
+                Core {
+                    stack,
+                    source,
+                    now_mc: 0,
+                    done: 0,
+                }
+            })
+            .collect();
         sys.flush_caches();
         // Decompose the scratch hierarchy: keep only its controllers (which
         // own the DRAM channels with all page tables MAC'd in place).
@@ -188,184 +202,73 @@ impl<S: OpSource> SharedSystem<S> {
         let channels = controllers.len();
         Self {
             cores,
-            llc: Cache::new(mem_cfg.llc),
-            controllers,
-            interleave: ChannelInterleave::new(u32::try_from(channels).expect("channels")),
+            shared: Shared {
+                llc: Cache::new(mem_cfg.llc),
+                controllers,
+                interleave: ChannelInterleave::new(u32::try_from(channels).expect("channels")),
+            },
             keep_millis: ((1.0 - cfg.o3_overlap) * 1000.0).round() as u64,
             occupancy_ps: clock::ns_to_ps(cfg.burst_occupancy_ns),
             core_khz: clock::ghz_to_khz(mem_cfg.core_ghz),
+            probe_cycles: mem_cfg.l1d.latency_cycles
+                + mem_cfg.l2.latency_cycles
+                + mem_cfg.llc.latency_cycles,
             cfg,
             channel_free_at: vec![0; channels],
             queued_requests: 0,
             dram_requests: 0,
+            faults: 0,
             #[cfg(test)]
             schedule: Vec::new(),
         }
     }
 
-    /// A line access from core `ci`: private L1/L2, shared LLC, queued DRAM.
-    /// Returns (line, cycles, verdict).
-    fn line_access(
-        &mut self,
-        ci: usize,
-        addr: PhysAddr,
-        write: bool,
-        is_pte: bool,
-    ) -> (Line, u64, ReadVerdict) {
-        let core = &mut self.cores[ci];
-        let mut cycles = core.l1.latency_cycles;
-        if let Some(line) = core.l1.lookup(addr) {
-            if write && !is_pte {
-                // Demand store hit: dirty the line now that its data is
-                // being modified (lookup itself never dirties).
-                core.l1.update(addr, line, true);
-            }
-            return (line, cycles, ReadVerdict::Forwarded);
-        }
-        cycles += core.l2.latency_cycles;
-        if let Some(line) = core.l2.lookup(addr) {
-            if !is_pte {
-                self.fill_l1(ci, addr, line, write);
-            }
-            return (line, cycles, ReadVerdict::Forwarded);
-        }
-        cycles += self.llc.latency_cycles;
-        if let Some(line) = self.llc.lookup(addr) {
-            self.fill_l2(ci, addr, line, false);
-            if !is_pte {
-                self.fill_l1(ci, addr, line, write);
-            }
-            return (line, cycles, ReadVerdict::Forwarded);
-        }
-        // DRAM: serialize on the line's channel, on the ps timeline. The
-        // core's milli-cycle clock converts once per request; everything
-        // past that point (wait, burst, occupancy) stays in integer ps.
-        self.dram_requests += 1;
-        let ch = self.interleave.channel_of(addr) as usize;
-        let now_ps = clock::millicycles_to_ps(self.cores[ci].now_mc + cycles * 1000, self.core_khz);
-        let wait_ps = self.channel_free_at[ch].saturating_sub(now_ps);
-        if wait_ps > 0 {
-            self.queued_requests += 1;
-        }
-        let read = self.controllers[ch].read_line(addr, is_pte);
-        // MAC computation happens in the controller after the data burst:
-        // it delays *this* requester but does not hold the channel.
-        let channel_cycles = read.latency_cycles - read.mac_cycles;
-        self.channel_free_at[ch] = now_ps
-            + wait_ps
-            + clock::cycles_to_ps(channel_cycles, self.core_khz)
-            + self.occupancy_ps;
-        cycles += clock::ps_to_cycles(wait_ps, self.core_khz) + read.latency_cycles;
-        if read.verdict == ReadVerdict::CheckFailed {
-            return (read.line, cycles, read.verdict);
-        }
-        if let Some((wa, wl)) = self.llc.fill(addr, read.line, false) {
-            self.write_dram(wa, wl);
-        }
-        self.fill_l2(ci, addr, read.line, false);
-        if !is_pte {
-            self.fill_l1(ci, addr, read.line, write);
-        }
-        (read.line, cycles, read.verdict)
-    }
-
-    /// Fills core `ci`'s L1 under the victim rule ([`cache::fill_l1`]).
-    fn fill_l1(&mut self, ci: usize, addr: PhysAddr, line: Line, dirty: bool) {
-        let core = &mut self.cores[ci];
-        if let Some((wa, wl)) =
-            cache::fill_l1(&mut core.l1, &mut core.l2, &mut self.llc, addr, line, dirty)
-        {
-            self.write_dram(wa, wl);
-        }
-    }
-
-    /// Fills core `ci`'s L2 under the victim rule ([`cache::fill_l2`]).
-    fn fill_l2(&mut self, ci: usize, addr: PhysAddr, line: Line, dirty: bool) {
-        if let Some((wa, wl)) =
-            cache::fill_l2(&mut self.cores[ci].l2, &mut self.llc, addr, line, dirty)
-        {
-            self.write_dram(wa, wl);
-        }
-    }
-
-    /// Writes a line leaving the hierarchy to its channel's controller.
-    fn write_dram(&mut self, addr: PhysAddr, line: Line) {
-        let ch = self.interleave.channel_of(addr) as usize;
-        self.controllers[ch].write_line(addr, line);
-    }
-
-    /// Page walk for core `ci`.
-    fn walk(&mut self, ci: usize, va: VirtAddr) -> (Option<Pte>, u64) {
-        let mut cycles = 0u64;
-        let mut table = self.cores[ci].root;
-        for level in (0..4usize).rev() {
-            let entry_addr =
-                PhysAddr::new(table.base().as_u64() + (va.level_index(level) as u64) * 8);
-            let pte = if level > 0 {
-                if let Some(hit) = self.cores[ci].mmu.lookup(entry_addr) {
-                    cycles += self.cores[ci].mmu.latency_cycles;
-                    hit
-                } else {
-                    let (line, c, verdict) = self.line_access(ci, entry_addr, false, true);
-                    cycles += c;
-                    if verdict == ReadVerdict::CheckFailed {
-                        return (None, cycles);
-                    }
-                    let pte = Pte::from_raw(line.word(entry_addr.line_offset() / 8));
-                    self.cores[ci].mmu.insert(entry_addr, pte);
-                    pte
-                }
-            } else {
-                let (line, c, verdict) = self.line_access(ci, entry_addr, false, true);
-                cycles += c;
-                if verdict == ReadVerdict::CheckFailed {
-                    return (None, cycles);
-                }
-                Pte::from_raw(line.word(entry_addr.line_offset() / 8))
-            };
-            if !pte.present() {
-                return (None, cycles);
-            }
-            if level == 0 {
-                self.cores[ci].tlb.insert(va.vpn(), pte);
-                return (Some(pte), cycles);
-            }
-            if level == 1 && pte.huge_page() {
-                let mut s = pte;
-                s.set_frame(Frame((pte.frame().0 & !0x1ff) | va.pt_index() as u64));
-                let s = Pte::from_raw(s.raw() & !bits::HUGE_PAGE);
-                self.cores[ci].tlb.insert(va.vpn(), s);
-                return (Some(s), cycles);
-            }
-            table = pte.frame();
-        }
-        unreachable!()
-    }
-
     /// Executes one instruction on core `ci`, advancing its local clock.
+    /// A memory op runs the core's walk; each miss serialises on its
+    /// line's channel, on the ps timeline, and is read inline.
     fn step(&mut self, ci: usize) {
-        let op = self.cores[ci].source.next_op();
-        self.cores[ci].now_mc += 1000;
+        let core = &mut self.cores[ci];
+        let op = core.source.next_op();
+        core.now_mc += 1000;
         let (va, write) = match op {
             Op::Compute => return,
             Op::Load(va) => (va, false),
             Op::Store(va) => (va, true),
         };
-        let mut cycles = 0u64;
-        let leaf = match self.cores[ci].tlb.lookup(va.vpn()) {
-            Some(p) => Some(p),
-            None => {
-                let (p, c) = self.walk(ci, va);
-                cycles += c;
-                p
+        let mut op = Access::new(va, write);
+        let mut step = core.stack.step(&mut op, &mut self.shared);
+        let out = loop {
+            let (addr, is_pte) = match step {
+                Step::Done(out) => break out,
+                Step::Miss { addr, is_pte } => (addr, is_pte),
+            };
+            // The core's milli-cycle clock converts once per request;
+            // everything past that point (wait, burst, occupancy) stays in
+            // integer ps.
+            self.dram_requests += 1;
+            let ch = self.shared.interleave.channel_of(addr) as usize;
+            let now_ps =
+                clock::millicycles_to_ps(core.now_mc + self.probe_cycles * 1000, self.core_khz);
+            let wait_ps = self.channel_free_at[ch].saturating_sub(now_ps);
+            if wait_ps > 0 {
+                self.queued_requests += 1;
             }
+            let mut read = self.shared.controllers[ch].read_line(addr, is_pte);
+            // MAC computation happens in the controller after the data
+            // burst: it delays *this* requester but does not hold the
+            // channel.
+            let channel_cycles = read.latency_cycles - read.mac_cycles;
+            self.channel_free_at[ch] = now_ps
+                + wait_ps
+                + clock::cycles_to_ps(channel_cycles, self.core_khz)
+                + self.occupancy_ps;
+            read.latency_cycles += clock::ps_to_cycles(wait_ps, self.core_khz);
+            step = core.stack.resume(&mut op, &read, true, &mut self.shared);
         };
-        if let Some(leaf) = leaf {
-            let pa = leaf.target(va.page_offset());
-            let (_, c, _) = self.line_access(ci, pa, write, false);
-            cycles += c;
+        if !out.is_ok() {
+            self.faults += 1;
         }
-        self.cores[ci].now_mc += cycles * self.keep_millis;
+        core.now_mc += out.cycles() * self.keep_millis;
     }
 
     /// Runs all cores to completion (time-ordered interleaving); returns
@@ -420,18 +323,19 @@ pub fn evaluate_bundle_shared(bundle: &Bundle, guard: PtGuardConfig, cfg: Shared
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oracle::refhier::{level, HierarchyCounts, StackCounts};
+    use oracle::refhier::{level, HierarchyCounts, RefDemandCounts, StackCounts};
     use oracle::RefHierarchy;
     use workloads::multiprog::{mix_bundles, same_bundles};
 
     /// Runs `bundle` on a PT-Guard shared system, replays the same OS
     /// build and the same per-core op streams, in the order the run
     /// scheduled them, on the reference hierarchy with one private stack
-    /// per core, and returns both sets of counters.
+    /// per core, and returns both sets of counters, demand counters summed
+    /// over the cores.
     fn fast_and_reference(
         bundle: &Bundle,
         cfg: SharedConfig,
-    ) -> (HierarchyCounts, HierarchyCounts) {
+    ) -> [(HierarchyCounts, RefDemandCounts); 2] {
         let mut sys = SharedSystem::new(bundle, Some(PtGuardConfig::default()), cfg);
         let _ = sys.run();
         let cores = bundle.workloads.len();
@@ -460,19 +364,29 @@ mod tests {
             }
         }
         let ctrl = |f: fn(&memsys::controller::ControllerStats) -> u64| {
-            sys.controllers.iter().map(|c| f(&c.stats())).sum()
+            sys.shared.controllers.iter().map(|c| f(&c.stats())).sum()
         };
         let fast = HierarchyCounts {
             stacks: sys
                 .cores
                 .iter()
-                .map(|c| StackCounts::new(c.l1.stats(), c.l2.stats(), c.tlb.stats(), c.mmu.stats()))
+                .map(|c| StackCounts::of(&c.stack))
                 .collect(),
-            llc: level(sys.llc.stats()),
+            llc: level(sys.shared.llc.stats()),
             dram_reads: ctrl(|s| s.reads),
             dram_writes: ctrl(|s| s.writes),
         };
-        (fast, reference.counts())
+        assert_eq!(sys.faults, 0, "{}: a shared-core op faulted", bundle.name);
+        let demand =
+            sys.cores
+                .iter()
+                .map(|c| c.stack.stats())
+                .fold(RefDemandCounts::default(), |d, s| RefDemandCounts {
+                    walks: d.walks + s.walks,
+                    llc_misses: d.llc_misses + s.llc_misses,
+                    walk_llc_misses: d.walk_llc_misses + s.walk_llc_misses,
+                });
+        [(fast, demand), (reference.counts(), reference.demand())]
     }
 
     #[test]
@@ -495,12 +409,13 @@ mod tests {
             .unwrap();
         cases.push((lbm, SharedConfig { channels: 2, ..cfg }));
         for (bundle, cfg) in &cases {
-            let (fast, reference) = fast_and_reference(bundle, *cfg);
+            let [fast, reference] = fast_and_reference(bundle, *cfg);
             assert_eq!(
                 fast, reference,
                 "{} on {} channels",
                 bundle.name, cfg.channels
             );
+            let fast = fast.0;
             assert!(
                 fast.stacks.iter().all(|s| s.l1[2] > 0),
                 "{}: no L1 victims",
