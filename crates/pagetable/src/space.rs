@@ -141,7 +141,22 @@ impl AddressSpace {
     /// table.
     pub fn new<M: PhysMem + ?Sized>(mem: &mut M, max_phys_bits: u32) -> Result<Self, MapError> {
         let limit = (mem.size() / PAGE_SIZE as u64).min(1u64 << (max_phys_bits - 12));
-        let mut allocator = FrameAllocator::new(1, limit);
+        Self::new_in(mem, max_phys_bits, 1..limit)
+    }
+
+    /// [`Self::new`] with every frame, root included, allocated from
+    /// `frames`: address spaces built over disjoint ranges of one memory
+    /// share no physical frame.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MapError::OutOfMemory`] if `frames` is empty.
+    pub fn new_in<M: PhysMem + ?Sized>(
+        mem: &mut M,
+        max_phys_bits: u32,
+        frames: std::ops::Range<u64>,
+    ) -> Result<Self, MapError> {
+        let mut allocator = FrameAllocator::new(frames.start, frames.end);
         let root = allocator.alloc().ok_or(MapError::OutOfMemory)?;
         table::zero_page(mem, root);
         Ok(Self {

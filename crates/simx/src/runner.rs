@@ -203,8 +203,8 @@ pub fn build_machine_from_source_cfg<S: OpSource>(
 /// The OS build of a workload: a fresh address space in `mem` for a
 /// machine with `max_phys_bits` of physical address, with every page of
 /// `profile`'s footprint mapped from [`TraceGenerator::HEAP_BASE`] up.
-/// Frames are allocated sequentially — the contiguity the paper's census
-/// observes.
+/// Frames are allocated sequentially from frame 1 — the contiguity the
+/// paper's census observes.
 ///
 /// # Panics
 ///
@@ -214,7 +214,32 @@ pub fn map_workload<M: PhysMem + ?Sized>(
     profile: WorkloadProfile,
     max_phys_bits: u32,
 ) -> AddressSpace {
-    let mut space = AddressSpace::new(mem, max_phys_bits).expect("root allocation");
+    let space = AddressSpace::new(mem, max_phys_bits).expect("root allocation");
+    map_footprint(mem, space, profile)
+}
+
+/// [`map_workload`] with every frame taken from `frames`, so processes
+/// sharing one memory keep disjoint physical pages.
+///
+/// # Panics
+///
+/// Panics if `frames` runs out.
+pub fn map_workload_in<M: PhysMem + ?Sized>(
+    mem: &mut M,
+    profile: WorkloadProfile,
+    max_phys_bits: u32,
+    frames: std::ops::Range<u64>,
+) -> AddressSpace {
+    let space = AddressSpace::new_in(mem, max_phys_bits, frames).expect("root allocation");
+    map_footprint(mem, space, profile)
+}
+
+/// Maps every page of `profile`'s footprint into `space`.
+fn map_footprint<M: PhysMem + ?Sized>(
+    mem: &mut M,
+    mut space: AddressSpace,
+    profile: WorkloadProfile,
+) -> AddressSpace {
     for i in 0..profile.hot_pages + profile.stream_pages {
         let va = VirtAddr::new(TraceGenerator::HEAP_BASE + i * PAGE_SIZE as u64);
         space

@@ -24,12 +24,13 @@ use memsys::stack::{Access, Step, Uncore};
 use memsys::system::OsPort;
 use memsys::{CoreStack, MemSysConfig, MemoryController, MemorySystem};
 use pagetable::addr::PhysAddr;
+use pagetable::PAGE_SIZE;
 use ptguard::line::Line;
 use ptguard::{PtGuardConfig, PtGuardEngine};
 use workloads::multiprog::Bundle;
 use workloads::tracegen::{Op, TraceGenerator};
 
-use crate::runner::map_workload;
+use crate::runner::map_workload_in;
 use crate::source::OpSource;
 
 /// Shared-model parameters.
@@ -107,8 +108,6 @@ pub struct SharedSystem<S: OpSource = TraceGenerator> {
     occupancy_ps: u128,
     /// Core clock in kHz (converts milli-cycles ↔ picoseconds).
     core_khz: u64,
-    /// Cycles a line spends probing L1, L2 and the LLC before it misses.
-    probe_cycles: u64,
     /// DRAM requests that waited on their channel.
     pub queued_requests: u64,
     /// Total DRAM requests.
@@ -130,6 +129,21 @@ fn memsys_config(cores: usize, cfg: &SharedConfig) -> MemSysConfig {
     }
 }
 
+/// The trace seed of core `i`. [`TraceGenerator::new`] seeds with
+/// `seed | 1`, so the seeds step by two from an even base: adjacent cores
+/// never collapse onto one stream.
+fn core_seed(i: usize) -> u64 {
+    0x5ca1e + 2 * i as u64
+}
+
+/// The physical frames core `i` of `cores` allocates from: an equal share
+/// of DRAM each, frame 0 left unused, so no two cores share a page.
+fn core_frames(i: usize, cfg: &SharedConfig, cores: usize) -> std::ops::Range<u64> {
+    let share = (cfg.dram_gb << 30) / PAGE_SIZE as u64 / cores as u64;
+    let first = (i as u64 * share).max(1);
+    first..(i as u64 + 1) * share
+}
+
 impl SharedSystem<TraceGenerator> {
     /// Builds a shared system running `bundle` (one workload per core).
     ///
@@ -142,7 +156,7 @@ impl SharedSystem<TraceGenerator> {
             .workloads
             .iter()
             .enumerate()
-            .map(|(i, w)| TraceGenerator::new(*w, 0x5ca1e + i as u64))
+            .map(|(i, w)| TraceGenerator::new(*w, core_seed(i)))
             .collect();
         Self::from_sources(bundle, sources, guard, cfg)
     }
@@ -183,8 +197,10 @@ impl<S: OpSource> SharedSystem<S> {
             .workloads
             .iter()
             .zip(sources)
-            .map(|(w, source)| {
-                let space = map_workload(&mut OsPort::new(&mut sys), *w, 34);
+            .enumerate()
+            .map(|(i, (w, source))| {
+                let frames = core_frames(i, &cfg, bundle.workloads.len());
+                let space = map_workload_in(&mut OsPort::new(&mut sys), *w, 34, frames);
                 let mut stack = CoreStack::new(&mem_cfg);
                 stack.set_root(space.root(), 34);
                 Core {
@@ -210,9 +226,6 @@ impl<S: OpSource> SharedSystem<S> {
             keep_millis: ((1.0 - cfg.o3_overlap) * 1000.0).round() as u64,
             occupancy_ps: clock::ns_to_ps(cfg.burst_occupancy_ns),
             core_khz: clock::ghz_to_khz(mem_cfg.core_ghz),
-            probe_cycles: mem_cfg.l1d.latency_cycles
-                + mem_cfg.l2.latency_cycles
-                + mem_cfg.llc.latency_cycles,
             cfg,
             channel_free_at: vec![0; channels],
             queued_requests: 0,
@@ -242,13 +255,14 @@ impl<S: OpSource> SharedSystem<S> {
                 Step::Done(out) => break out,
                 Step::Miss { addr, is_pte } => (addr, is_pte),
             };
-            // The core's milli-cycle clock converts once per request;
+            // The request reaches its channel once every cycle the op has
+            // spent so far (earlier walk levels included) has elapsed. The
+            // core's milli-cycle clock converts once per request;
             // everything past that point (wait, burst, occupancy) stays in
             // integer ps.
             self.dram_requests += 1;
             let ch = self.shared.interleave.channel_of(addr) as usize;
-            let now_ps =
-                clock::millicycles_to_ps(core.now_mc + self.probe_cycles * 1000, self.core_khz);
+            let now_ps = clock::millicycles_to_ps(core.now_mc + op.cycles() * 1000, self.core_khz);
             let wait_ps = self.channel_free_at[ch].saturating_sub(now_ps);
             if wait_ps > 0 {
                 self.queued_requests += 1;
@@ -343,7 +357,11 @@ mod tests {
         let roots: Vec<u64> = bundle
             .workloads
             .iter()
-            .map(|w| map_workload(&mut reference, *w, 34).root().0)
+            .enumerate()
+            .map(|(i, w)| {
+                let frames = core_frames(i, &cfg, cores);
+                map_workload_in(&mut reference, *w, 34, frames).root().0
+            })
             .collect();
         reference.flush();
         reference.fresh_caches(cores);
@@ -354,7 +372,7 @@ mod tests {
             .workloads
             .iter()
             .enumerate()
-            .map(|(i, w)| TraceGenerator::new(*w, 0x5ca1e + i as u64))
+            .map(|(i, w)| TraceGenerator::new(*w, core_seed(i)))
             .collect();
         for &ci in &sys.schedule {
             match sources[ci].next_op() {
@@ -421,6 +439,81 @@ mod tests {
                 "{}: no L1 victims",
                 bundle.name
             );
+        }
+    }
+
+    #[test]
+    fn a_lone_in_order_core_never_queues_behind_itself() {
+        // With nothing hidden and no other core, each request reaches its
+        // channel after the previous one has left it: a walk miss followed
+        // by a data miss must not wait on the walk's own read.
+        let cfg = SharedConfig {
+            o3_overlap: 0.0,
+            ..SharedConfig::default()
+        };
+        for name in ["xalancbmk", "mcf", "sssp"] {
+            let bundle = Bundle {
+                name: name.to_string(),
+                workloads: vec![workloads::profiles::by_name(name).unwrap()],
+            };
+            let mut sys = SharedSystem::new(&bundle, Some(PtGuardConfig::default()), cfg);
+            let _ = sys.run();
+            assert!(sys.dram_requests > 0, "{name}: no DRAM traffic");
+            assert_eq!(
+                sys.queued_requests, 0,
+                "{name}: {} of {} requests queued behind their own op",
+                sys.queued_requests, sys.dram_requests
+            );
+        }
+    }
+
+    #[test]
+    fn the_cores_of_a_same_bundle_run_distinct_streams() {
+        let bundle = same_bundles(4).swap_remove(0);
+        let mut sys = SharedSystem::new(&bundle, None, SharedConfig::default());
+        let streams: Vec<Vec<Op>> = sys
+            .cores
+            .iter_mut()
+            .map(|c| (0..1000).map(|_| c.source.next_op()).collect())
+            .collect();
+        for i in 0..streams.len() {
+            for j in i + 1..streams.len() {
+                assert_ne!(
+                    streams[i], streams[j],
+                    "cores {i} and {j} replay one stream"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_cores_of_a_bundle_share_no_physical_page() {
+        // Four copies of lbm stream through four disjoint footprints, so
+        // their DRAM traffic adds up; cores sharing frames hit in the LLC
+        // on each other's lines and make about as many requests as one.
+        let cfg = SharedConfig {
+            instructions_per_core: 15_000,
+            ..SharedConfig::default()
+        };
+        let requests = |cores: usize| {
+            let lbm = same_bundles(cores)
+                .into_iter()
+                .find(|b| b.name == "SAME-lbm")
+                .unwrap();
+            let mut sys = SharedSystem::new(&lbm, None, cfg);
+            let _ = sys.run();
+            sys.dram_requests
+        };
+        let (one, four) = (requests(1), requests(4));
+        assert!(
+            four > 3 * one,
+            "4 cores made {four} DRAM requests, 1 core {one}"
+        );
+        for cores in 1..=4 {
+            let frames: Vec<_> = (0..cores).map(|i| core_frames(i, &cfg, cores)).collect();
+            assert_eq!(frames[0].start, 1, "frame 0 stays unused");
+            assert!(frames.windows(2).all(|w| w[0].end <= w[1].start));
+            assert!(frames[cores - 1].end <= (cfg.dram_gb << 30) / PAGE_SIZE as u64);
         }
     }
 
