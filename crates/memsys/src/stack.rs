@@ -33,7 +33,7 @@ pub trait Uncore {
 }
 
 /// What [`CoreStack::step`] and [`CoreStack::resume`] leave an op at.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 #[must_use]
 pub enum Step {
     /// The op finished.
@@ -108,7 +108,7 @@ impl Access {
 }
 
 /// A core's private TLB, MMU cache, L1D and L2, and its page walker.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CoreStack {
     pub(crate) l1d: Cache,
     pub(crate) l2: Cache,

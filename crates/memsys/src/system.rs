@@ -447,17 +447,17 @@ impl MemorySystem {
 
     /// A demand load from virtual address `va`, its misses served inline.
     pub fn load(&mut self, va: VirtAddr) -> AccessOutcome {
-        self.access(va, false)
+        self.serve_inline(va, false)
     }
 
     /// A demand store to virtual address `va`, its misses served inline.
     pub fn store(&mut self, va: VirtAddr) -> AccessOutcome {
-        self.access(va, true)
+        self.serve_inline(va, true)
     }
 
     /// Runs one access to completion, reading each miss from DRAM as the
     /// walk reaches it.
-    fn access(&mut self, va: VirtAddr, write: bool) -> AccessOutcome {
+    fn serve_inline(&mut self, va: VirtAddr, write: bool) -> AccessOutcome {
         let mut op = Access::new(va, write);
         let (core, mut lower) = self.split();
         let mut step = core.step(&mut op, &mut lower);
@@ -1132,7 +1132,7 @@ mod tests {
 
     /// A demand read of the line at physical `addr`: the stack's probe,
     /// then a DRAM read and fill on a miss.
-    fn line_access(sys: &mut MemorySystem, addr: PhysAddr) {
+    fn touch_line(sys: &mut MemorySystem, addr: PhysAddr) {
         let (core, mut lower) = sys.split();
         if core.probe(addr, false, false, &mut lower).is_err() {
             let read = lower.ctrl_for(addr).read_line(addr, false);
@@ -1146,7 +1146,7 @@ mod tests {
         let cfg = sys.config().l1d;
         let stride = (cfg.sets() * 64) as u64;
         for i in 1..=cfg.ways as u64 {
-            line_access(sys, PhysAddr::new(addr.as_u64() + i * stride));
+            touch_line(sys, PhysAddr::new(addr.as_u64() + i * stride));
         }
         assert!(
             sys.core.l1d.peek(addr).is_none(),
@@ -1162,7 +1162,7 @@ mod tests {
         // later read returned.
         let mut sys = system(true);
         let a = PhysAddr::new(0x10_0000);
-        line_access(&mut sys, a);
+        touch_line(&mut sys, a);
         assert!(sys.core.l2.peek(a).is_some());
         sys.func_write_u64(a, 0xdead_beef);
         evict_from_l1(&mut sys, a);
@@ -1174,10 +1174,10 @@ mod tests {
     fn flush_writes_the_newer_l1_copy_over_the_older_l2_copy() {
         let mut sys = system(false);
         let a = PhysAddr::new(0x20_0000);
-        line_access(&mut sys, a);
+        touch_line(&mut sys, a);
         evict_from_l1(&mut sys, a);
         sys.func_write_u64(a, 1); // the L2 holds a dirty 1
-        line_access(&mut sys, a);
+        touch_line(&mut sys, a);
         sys.func_write_u64(a, 2); // the L1 holds a dirty 2
         sys.flush_caches();
         assert_eq!(sys.controller.device().read_u64(a), 2);
